@@ -35,7 +35,8 @@ val connect : ?host:string -> ?timeout_ms:int -> port:int -> unit -> t
     With [?timeout_ms > 0] the connect is non-blocking and bounded:
     an unreachable or blackholed host raises {!Connect_timeout} after
     the deadline instead of hanging for the kernel's SYN-retry budget
-    (minutes). Ignores SIGPIPE process-wide so a vanished server
+    (minutes). The socket has [TCP_NODELAY] set ({!Wire.set_nodelay}).
+    Ignores SIGPIPE process-wide so a vanished server
     surfaces as {!Wire.Connection_closed} instead of killing the
     process. *)
 

@@ -192,44 +192,57 @@ let healthz_json t =
 (* Frame writes are serialised per connection and silently dropped once
    the peer is gone — a disconnected client must not take its worker down
    (SIGPIPE is ignored at [start]; [Wire] surfaces the peer vanishing as
-   [Connection_closed]). *)
+   [Connection_closed]). Call under [conn.lock]. *)
+let write_or_drop conn frames =
+  if conn.alive then
+    try Wire.write_buffer conn.fd frames
+    with Wire.Connection_closed | Unix.Unix_error _ -> conn.alive <- false
+
 let send conn reply =
-  with_lock conn.lock (fun () ->
-      if conn.alive then
-        try Wire.write_reply conn.fd reply
-        with Wire.Connection_closed | Unix.Unix_error _ -> conn.alive <- false)
+  let b = Buffer.create 64 in
+  Wire.add_reply b reply;
+  with_lock conn.lock (fun () -> write_or_drop conn b)
 
 (* ------------------------------------------------------------------ *)
 (* Worker side *)
 
-(* The terminal frame of a request must be written in the same critical
-   section that clears [busy]: a prompt client pipelines its next query
-   right after reading the terminal frame, and if [busy] were cleared
-   after the write the connection thread could reject that query as
-   still-in-flight. *)
-let send_terminal conn reply =
+(* A query's whole reply — [body] (the encoded Header and Rows, when the
+   query answered) plus the terminal frame — goes out in one write:
+   written frame by frame, the Rows would wait on the client's delayed
+   ACK whenever Nagle held one back. The write happens in the same
+   critical section that clears [busy]: a prompt client pipelines its
+   next query right after reading the terminal frame, and if [busy] were
+   cleared after the write the connection thread could reject that query
+   as still-in-flight. *)
+let send_terminal ?(body = Buffer.create 64) conn reply =
+  Wire.add_reply body reply;
   with_lock conn.lock (fun () ->
       conn.busy <- false;
       conn.current <- None;
-      if conn.alive then
-        try Wire.write_reply conn.fd reply
-        with Wire.Connection_closed | Unix.Unix_error _ -> conn.alive <- false)
+      write_or_drop conn body)
 
-(* Materialise the answer into wire rows. This reads relation pages
-   through the buffer pool, so under fault injection it can fault — which
-   is exactly why it runs inside the retried attempt, before any frame is
-   sent: a retry must never follow a half-streamed answer. *)
+(* Encode the answer's Header and Row frames into one buffer. This reads
+   relation pages through the buffer pool, so under fault injection it
+   can fault — which is exactly why it runs inside the retried attempt,
+   and why each attempt starts a fresh buffer: a failed attempt leaves
+   nothing behind, and a retry never follows a half-sent answer. *)
 let collect_answer answer =
   let schema = Relation.schema answer in
-  let cols = Array.to_list (Array.map fst (Schema.attrs schema)) in
   let arity = Schema.arity schema in
-  let rows = ref [] in
+  let body = Buffer.create 4096 in
+  Wire.add_reply body
+    (Wire.Header (Array.to_list (Array.map fst (Schema.attrs schema))));
+  let rows = ref 0 in
   Relation.iter answer (fun tup ->
-      rows :=
-        ( Int64.bits_of_float (Ftuple.degree tup),
-          List.init arity (fun i -> Value.to_string (Ftuple.value tup i)) )
-        :: !rows);
-  (cols, List.rev !rows)
+      Wire.add_reply body
+        (Wire.Row
+           {
+             degree_bits = Int64.bits_of_float (Ftuple.degree tup);
+             values =
+               List.init arity (fun i -> Value.to_string (Ftuple.value tup i));
+           });
+      incr rows);
+  (body, !rows)
 
 let feed_breaker t ~ok =
   match Breaker.record t.breaker ~now:(Unix.gettimeofday ()) ~ok with
@@ -353,21 +366,19 @@ let handle_job t ~env ~check ~plane ~rng job =
      reply and immediately scrapes /metrics, fetches the trace, or tails
      the log must see this request already booked. *)
   let terminal = ref None in
+  let body = ref None in
   Trace.with_span tr "request" (fun () ->
       Trace.add_timed_span tr "queue-wait" ~start_s:job.enqueued_at
         ~dur_s:(dequeued -. job.enqueued_at);
       match attempts 1 with
-      | `Ok (cols, rows) ->
-          send job.conn (Wire.Header cols);
-          List.iter
-            (fun (degree_bits, values) ->
-              send job.conn (Wire.Row { degree_bits; values }))
-            rows;
+      | `Ok (frames, rows) ->
+          (* admission to "reply encoded": the socket write comes later *)
           let elapsed_s = Unix.gettimeofday () -. job.enqueued_at in
-          answer_rows := List.length rows;
+          body := Some frames;
+          answer_rows := rows;
           count t "requests_completed";
           feed_breaker t ~ok:true;
-          terminal := Some (Wire.Done { rows = List.length rows; elapsed_s })
+          terminal := Some (Wire.Done { rows; elapsed_s })
       | `Cancelled reason ->
           (* The aggregate stays (the books-balance identity and existing
              dashboards read it); the split attributes it. *)
@@ -435,7 +446,7 @@ let handle_job t ~env ~check ~plane ~rng job =
         }
   | None -> ());
   (match !terminal with
-  | Some reply -> send_terminal job.conn reply
+  | Some reply -> send_terminal ?body:!body job.conn reply
   | None -> ());
   !respawn
 
@@ -603,11 +614,16 @@ let admit t conn ~request_id ~deadline_ms ~domains sql =
           let deadline_ms =
             if deadline_ms > 0 then Some deadline_ms else t.default_deadline_ms
           in
+          (* Worker 0 runs on the main domain, next to the accept and
+             connection threads, and holds its runtime lock while it
+             computes. Yielding at each poll lets those threads run. *)
           let cancel =
-            match deadline_ms with
-            | Some ms ->
-                Cancel.create ~deadline:(now +. (float_of_int ms /. 1000.0)) ()
-            | None -> Cancel.create ()
+            Cancel.create ~on_poll:Thread.yield
+              ?deadline:
+                (Option.map
+                   (fun ms -> now +. (float_of_int ms /. 1000.0))
+                   deadline_ms)
+              ()
           in
           let job =
             {
@@ -753,6 +769,7 @@ let accept_loop t =
     | fd, _addr ->
         if t.draining then Unix.close fd (* the stop wake-up; exit *)
         else begin
+          Wire.set_nodelay fd;
           let conn =
             { fd; lock = Mutex.create (); busy = false; current = None;
               alive = true }

@@ -10,9 +10,10 @@
     [Overloaded] when the queue is full — producers never block) and
     picked up by one of a fixed set of {e worker domains}, which are run
     as long-lived jobs on a {!Storage.Task_pool} so queries execute in
-    parallel, not merely concurrently. The worker materialises the
-    answer, then streams it ([Header], [Row]s, [Done]) to the client's
-    socket.
+    parallel, not merely concurrently. The worker encodes the
+    whole reply ([Header], [Row]s, [Done]) into one buffer and writes it
+    to the client's socket in one write; every accepted socket has
+    [TCP_NODELAY] set ({!Wire.set_nodelay}).
 
     Workers are shared-nothing: each builds a private
     {!Storage.Env} + {!Relational.Catalog} with the [~setup] callback at
@@ -44,8 +45,8 @@
     remaining deadline budget exceeds the backoff sleep, and a [Cancel]
     observed during the sleep aborts it promptly. Queries are read-only
     and the engine is bit-deterministic, so a retried attempt that
-    succeeds returns exactly the fault-free answer; nothing is streamed
-    until an attempt has fully materialised its rows, so a retry never
+    succeeds returns exactly the fault-free answer; nothing is written
+    until an attempt has encoded its whole answer, so a retry never
     follows a half-sent answer. When retries are exhausted (or the budget
     is gone) the client gets [Retryable]. A {e fatal} fault or an
     unclassified exception answers [Error] and {e respawns} the worker's

@@ -535,6 +535,7 @@ module Sender = struct
         if not t.stopped then
           match Unix.accept fd with
           | cfd, _ ->
+              Wire.set_nodelay cfd;
               with_lock t.lock (fun () -> t.conns <- cfd :: t.conns);
               let th = Thread.create conn_loop cfd in
               with_lock t.lock (fun () -> t.threads <- th :: t.threads);

@@ -99,7 +99,8 @@ module Sender : sig
   (** Start a minimal replication-only accept loop (subscribe/ack
       frames) — for primaries that are not full daemons, like the chaos
       harness's forked child. [port = 0] binds an ephemeral port; the
-      bound port is returned. *)
+      bound port is returned. Accepted sockets get [TCP_NODELAY]
+      ({!Wire.set_nodelay}). *)
 
   val stop : t -> unit
   (** Stop the listener and all streaming threads; joins them. *)

@@ -106,11 +106,11 @@ let get_strs s pos =
    short read mid-frame, EPIPE/ECONNRESET on write — to the single
    [Connection_closed] exception so callers have one case to handle. *)
 
-let rec write_all fd buf off len =
+let rec write_all fd s off len =
   if len > 0 then
-    match Unix.write fd buf off len with
-    | n -> write_all fd buf (off + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd buf off len
+    match Unix.write_substring fd s off len with
+    | n -> write_all fd s (off + n) (len - n)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
     | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
         raise Connection_closed
 
@@ -126,17 +126,15 @@ let read_exact fd buf off len =
   in
   go off len
 
-let write_frame fd payload =
-  let n = String.length payload in
-  (* One buffer, one write-loop: header and payload never interleave with
-     another thread's frame as long as callers serialise per-connection. *)
-  let b = Bytes.create (4 + n) in
-  Bytes.set b 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set b 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set b 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set b 3 (Char.chr (n land 0xff));
-  Bytes.blit_string payload 0 b 4 n;
-  write_all fd b 0 (4 + n)
+(* One buffer, one write-loop: a buffer of whole frames never interleaves
+   with another thread's frames as long as callers serialise
+   per-connection. *)
+let write_buffer fd b =
+  let s = Buffer.contents b in
+  write_all fd s 0 (String.length s)
+
+let set_nodelay fd =
+  try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
 
 let read_frame fd =
   let hdr = Bytes.create 4 in
@@ -169,9 +167,8 @@ let read_frame fd =
    construction: rev 3 only introduces new tags, so every rev-2 frame
    encodes and decodes byte-identically under rev 3, and a rev-2 client
    that never sends the new tags cannot elicit one in response. *)
-let encode_request r =
-  let buf = Buffer.create 64 in
-  (match r with
+let encode_request buf r =
+  match r with
   | Query { request_id = ""; deadline_ms; domains; sql } ->
       Buffer.add_char buf 'Q';
       add_u32 buf deadline_ms;
@@ -198,8 +195,7 @@ let encode_request r =
       Buffer.add_char buf 'a';
       add_u32 buf epoch;
       add_u64 buf (Int64.of_int applied_lsn)
-  | Promote -> Buffer.add_char buf 'U');
-  Buffer.contents buf
+  | Promote -> Buffer.add_char buf 'U'
 
 let decode_request payload =
   let pos = ref 1 in
@@ -231,9 +227,8 @@ let decode_request payload =
   | 'U' -> Promote
   | c -> raise (Protocol_error (Printf.sprintf "unknown request tag %C" c))
 
-let encode_reply r =
-  let buf = Buffer.create 128 in
-  (match r with
+let encode_reply buf r =
+  match r with
   | Header cols ->
       Buffer.add_char buf 'H';
       add_strs buf cols
@@ -293,8 +288,7 @@ let encode_reply r =
       add_u32 buf epoch
   | Promoted { epoch } ->
       Buffer.add_char buf 'u';
-      add_u32 buf epoch);
-  Buffer.contents buf
+      add_u32 buf epoch
 
 let decode_reply payload =
   let pos = ref 1 in
@@ -366,7 +360,20 @@ let decode_reply payload =
   | 'u' -> Promoted { epoch = get_u32 payload pos }
   | c -> raise (Protocol_error (Printf.sprintf "unknown reply tag %C" c))
 
-let write_request fd r = write_frame fd (encode_request r)
-let write_reply fd r = write_frame fd (encode_reply r)
+(* A frame is the payload's u32 length, then the payload. *)
+let add_frame encode dst msg =
+  let payload = Buffer.create 128 in
+  encode payload msg;
+  add_u32 dst (Buffer.length payload);
+  Buffer.add_buffer dst payload
+
+let write_frame encode fd msg =
+  let b = Buffer.create 128 in
+  add_frame encode b msg;
+  write_buffer fd b
+
+let add_reply dst r = add_frame encode_reply dst r
+let write_request fd r = write_frame encode_request fd r
+let write_reply fd r = write_frame encode_reply fd r
 let read_request fd = decode_request (read_frame fd)
 let read_reply fd = decode_reply (read_frame fd)

@@ -104,8 +104,9 @@ type reply =
   | Row of { degree_bits : int64; values : string list }
       (** one answer tuple: degree as IEEE-754 bits, values printed *)
   | Done of { rows : int; elapsed_s : float }
-      (** terminal: row count and server-side wall time (admission to
-          last row) *)
+      (** terminal: row count and server-side wall time, from admission
+          to the whole reply being encoded (the socket write is not
+          included) *)
   | Error of string  (** terminal: query error or fatal execution error *)
   | Retryable of string
       (** terminal: the query failed on a transient fault after the
@@ -156,6 +157,24 @@ val write_request : Unix.file_descr -> request -> unit
     {!Connection_closed} if the peer is gone. *)
 
 val write_reply : Unix.file_descr -> reply -> unit
+
+val add_reply : Buffer.t -> reply -> unit
+(** Append one whole frame — length prefix and payload, exactly the
+    bytes {!write_reply} would write — to a buffer. Frames appended in
+    order and written with {!write_buffer} put the same byte stream on
+    the wire as one {!write_reply} per frame, in one write. *)
+
+val write_buffer : Unix.file_descr -> Buffer.t -> unit
+(** Write a buffer of whole frames with the same EINTR-safe loop and
+    the same {!Connection_closed} mapping as {!write_reply}. *)
+
+val set_nodelay : Unix.file_descr -> unit
+(** Set [TCP_NODELAY] on a connected TCP socket. Every connection the
+    server library opens or accepts goes through this: with Nagle's
+    algorithm on, a small segment written while an earlier one is still
+    unacknowledged is held until the peer's ACK, which Linux's delayed
+    ACK can postpone by up to 40 ms. A socket that refuses the option
+    is left as it is (it still works, only slower). *)
 
 val read_request : Unix.file_descr -> request
 (** Blocks for a full frame. Raises {!Connection_closed} on EOF or a

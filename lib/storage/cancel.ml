@@ -3,17 +3,18 @@ type t = {
   flag : bool Atomic.t;
   mutable why : string;
   mutable countdown : int;
-      (** checks until the next deadline clock read; racy across the domains
-          of a parallel batch, which only makes the poll slightly more or
-          less frequent *)
+      (** checks until the next deadline clock read and [on_poll] call;
+          racy across the domains of a parallel batch, which only makes the
+          poll slightly more or less frequent *)
+  on_poll : unit -> unit;
 }
 
 exception Cancelled of string
 
 let poll_period = 64
 
-let create ?(deadline = Float.infinity) () =
-  { deadline; flag = Atomic.make false; why = ""; countdown = 0 }
+let create ?(deadline = Float.infinity) ?(on_poll = ignore) () =
+  { deadline; flag = Atomic.make false; why = ""; countdown = 0; on_poll }
 
 let with_timeout ~seconds () =
   create ~deadline:(Unix.gettimeofday () +. seconds) ()
@@ -34,11 +35,13 @@ let deadline t = if t.deadline = Float.infinity then None else Some t.deadline
 
 let raise_if_cancelled t =
   if Atomic.get t.flag then raise (Cancelled t.why)
-  else if t.deadline < Float.infinity then begin
+  else begin
     t.countdown <- t.countdown - 1;
     if t.countdown <= 0 then begin
       t.countdown <- poll_period;
-      if Unix.gettimeofday () > t.deadline then begin
+      t.on_poll ();
+      if t.deadline < Float.infinity && Unix.gettimeofday () > t.deadline
+      then begin
         cancel ~reason:"deadline exceeded" t;
         raise (Cancelled t.why)
       end

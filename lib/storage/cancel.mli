@@ -5,9 +5,9 @@
     admission layer that stamped a deadline on the request) and the
     computation itself, which polls {!check} at operator boundaries — the
     merge-join sweep loop, the sort comparator, the blocked nested-loop scan.
-    Polling a token is one atomic load on the fast path; the deadline clock
-    is only consulted every {!poll_period} checks, so a check is cheap
-    enough for per-tuple call sites.
+    Polling a token is one atomic load and a countdown on the fast path;
+    the deadline clock is only consulted every {!poll_period} checks, so a
+    check is cheap enough for per-tuple call sites.
 
     Tokens may be cancelled from any domain or thread; the computation
     observes the flag at its next check and unwinds with {!Cancelled}. Under
@@ -22,9 +22,14 @@ exception Cancelled of string
     cancelled or its deadline has passed. The payload is the reason
     ([deadline exceeded], [cancelled by client], ...). *)
 
-val create : ?deadline:float -> unit -> t
+val create : ?deadline:float -> ?on_poll:(unit -> unit) -> unit -> t
 (** A fresh token. [deadline] is an absolute [Unix.gettimeofday] instant
-    after which {!check} raises; omitted means no deadline. *)
+    after which {!check} raises; omitted means no deadline. [on_poll]
+    (default: nothing) runs on the polling thread every {!poll_period}
+    checks. The daemon passes [Thread.yield], so that a query running on
+    the same domain as the connection threads lets them read a [Cancel]
+    or admit a query within one poll period, not at the runtime's next
+    50 ms tick or the end of the query. *)
 
 val with_timeout : seconds:float -> unit -> t
 (** [create] with a deadline [seconds] from now. *)
@@ -53,5 +58,5 @@ val raise_if_cancelled : t -> unit
 (** {!check} on a known-present token. *)
 
 val poll_period : int
-(** Number of {!check} calls between deadline clock reads (the cancel flag
-    itself is read on every call). *)
+(** Number of {!check} calls between deadline clock reads and [on_poll]
+    calls (the cancel flag itself is read on every call). *)

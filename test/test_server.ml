@@ -171,6 +171,62 @@ let wire_tests =
           (Bytes.to_string echoed);
         close_noerr w;
         close_noerr r);
+    tc "a coalesced reply is byte-identical to one write per frame" `Quick
+      (fun () ->
+        let degrees =
+          [ 0.7000000000000001; 1.0; 0.0; 1e-300; 0.1 +. 0.2 ]
+          |> List.map Int64.bits_of_float
+        in
+        let replies =
+          (Server.Wire.Header [ "ID"; "NAME" ]
+          :: List.init 40 (fun i ->
+                 Server.Wire.Row
+                   {
+                     degree_bits =
+                       (if i = 39 then 0x7FF0000000000001L (* a NaN payload *)
+                        else List.nth degrees (i mod List.length degrees));
+                     values = [ string_of_int i; Printf.sprintf "\"r%d\"" i ];
+                   }))
+          @ [ Server.Wire.Done { rows = 40; elapsed_s = 0.0421 } ]
+        in
+        let coalesced = Buffer.create 256 in
+        List.iter (Server.Wire.add_reply coalesced) replies;
+        let n = Buffer.length coalesced in
+        let read_bytes fd n =
+          let b = Bytes.create n in
+          let rec go off =
+            if off < n then begin
+              let k = Unix.read fd b off (n - off) in
+              assert (k > 0);
+              go (off + k)
+            end
+          in
+          go 0;
+          Bytes.to_string b
+        in
+        (* one write_reply per frame, the bytes concatenated *)
+        let r, w = Unix.pipe () in
+        List.iter (Server.Wire.write_reply w) replies;
+        let per_frame = read_bytes r n in
+        close_noerr w;
+        close_noerr r;
+        Alcotest.(check string)
+          "same byte stream" per_frame (Buffer.contents coalesced);
+        (* one write of the whole buffer, read back frame by frame *)
+        let r, w = Unix.pipe () in
+        Server.Wire.write_buffer w coalesced;
+        let got = List.map (fun _ -> Server.Wire.read_reply r) replies in
+        close_noerr w;
+        close_noerr r;
+        List.iter2
+          (fun want got ->
+            match (want, got) with
+            | ( Server.Wire.Row { degree_bits = a; values = va },
+                Server.Wire.Row { degree_bits = b; values = vb } ) ->
+                Alcotest.(check int64) "exact degree bits" a b;
+                Alcotest.(check (list string)) "values" va vb
+            | _ -> Alcotest.(check bool) "frame round-trips" true (want = got))
+          replies got);
     tc "oversized and empty frames are protocol errors" `Quick (fun () ->
         let r, w = Unix.pipe () in
         (* length header far above max_frame *)
@@ -515,6 +571,88 @@ let daemon_tests =
           (c "requests_accepted")
           (c "requests_completed" + c "requests_cancelled"
          + c "requests_failed" + c "requests_failed_transient"));
+    tc "sequential replies do not wait on a delayed ACK" `Quick (fun () ->
+        (* With Nagle on and the reply written frame by frame, the Row
+           frames wait for the client's delayed ACK (up to 40 ms on
+           Linux) and each query's round trip is about 44 ms. Linux
+           quick-ACKs the first segments of a new connection, which hides
+           the stall there, so the first queries are skipped. *)
+        let daemon = Server.Daemon.start ~workers:1 ~setup () in
+        let client = Server.Client.connect ~port:(Server.Daemon.port daemon) () in
+        Alcotest.(check bool)
+          "client socket has TCP_NODELAY" true
+          (Unix.getsockopt (Server.Client.fd client) Unix.TCP_NODELAY);
+        let sql = List.assoc "N" shapes in
+        let skip = 5 and measured = 25 in
+        let times =
+          List.init (skip + measured) (fun _ ->
+              let t0 = Unix.gettimeofday () in
+              (match Server.Client.query client sql with
+              | Server.Client.Answer { rows; _ } ->
+                  Alcotest.(check bool) "a many-row answer" true
+                    (List.length rows > 10)
+              | _ -> Alcotest.fail "expected an answer");
+              Unix.gettimeofday () -. t0)
+        in
+        Server.Client.close client;
+        Server.Daemon.stop daemon;
+        let sorted =
+          List.sort compare (List.filteri (fun i _ -> i >= skip) times)
+        in
+        let median_ms = 1000.0 *. List.nth sorted (measured / 2) in
+        Alcotest.(check bool)
+          (Printf.sprintf "median round trip %.2f ms < 20 ms" median_ms)
+          true (median_ms < 20.0));
+    tc "a failed query sends its terminal frame and nothing else" `Slow
+      (fun () ->
+        let fspec s =
+          match Storage.Fault.parse_spec s with
+          | Ok spec -> spec
+          | Error m -> Alcotest.failf "bad spec %S: %s" s m
+        in
+        let one_attempt =
+          { Server.Retry.max_attempts = 1; base_delay_s = 0.001;
+            max_delay_s = 0.001; jitter = 0.0 }
+        in
+        let j_sql = List.assoc "J" shapes in
+        (* Client.query would skip a stray Header; read raw frames. The
+           Metrics request after the terminal proves no frame trails it. *)
+        let frames_of ~daemon ~deadline_ms sql =
+          let client =
+            Server.Client.connect ~port:(Server.Daemon.port daemon) ()
+          in
+          let fd = Server.Client.fd client in
+          Server.Wire.write_request fd
+            (Server.Wire.Query { request_id = "raw"; deadline_ms; domains = 0; sql });
+          let first = Server.Wire.read_reply fd in
+          Server.Wire.write_request fd Server.Wire.Metrics;
+          let next = Server.Wire.read_reply fd in
+          Server.Client.close client;
+          Server.Daemon.stop daemon;
+          (first, next)
+        in
+        let check name ~terminal (first, next) =
+          Alcotest.(check bool) (name ^ ": first frame is the terminal") true
+            (terminal first);
+          Alcotest.(check bool) (name ^ ": no frame after the terminal") true
+            (match next with Server.Wire.Metrics_json _ -> true | _ -> false)
+        in
+        check "deadline"
+          ~terminal:(function Server.Wire.Cancelled r -> contains r "deadline" | _ -> false)
+          (frames_of ~deadline_ms:150 slow_sql
+             ~daemon:(Server.Daemon.start ~workers:1 ~setup:slow_setup ()));
+        check "fatal fault"
+          ~terminal:(function Server.Wire.Error m -> contains m "fatal" | _ -> false)
+          (frames_of ~deadline_ms:0 j_sql
+             ~daemon:
+               (Server.Daemon.start ~workers:1 ~retry:one_attempt
+                  ~fault_spec:(fspec "read:nth=3:fatal") ~setup ()));
+        check "transient give-up"
+          ~terminal:(function Server.Wire.Retryable _ -> true | _ -> false)
+          (frames_of ~deadline_ms:0 j_sql
+             ~daemon:
+               (Server.Daemon.start ~workers:1 ~retry:one_attempt
+                  ~fault_spec:(fspec "read:p=1") ~setup ())));
     tc "graceful shutdown drains and is idempotent" `Quick (fun () ->
         let daemon = Server.Daemon.start ~workers:2 ~setup () in
         let port = Server.Daemon.port daemon in
