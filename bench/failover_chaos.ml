@@ -21,6 +21,7 @@
       schedule dump, and [replication_epoch] is scraped from the
       promoted daemon's metrics.
 
+    Each seed runs in its own child process (see {!run_seed_in_child}).
     One ["failover_chaos"] row per seed lands in BENCH_results.json and
     the full event schedule in
     [bench/artifacts/failover_schedule.json]. *)
@@ -292,6 +293,43 @@ let run_seed ~seed evs =
                 f_duration_s = Unix.gettimeofday () -. t0;
               })))
 
+(* Run one seed in a child process and return its row and events.
+   OCaml 5.1 refuses [Unix.fork] in a process that has ever spawned a
+   domain, even once that domain has been joined, and a seed's replica
+   daemon spawns its task pool's worker domain — so no process may fork
+   after serving a seed. Each seed therefore runs in a child forked from
+   this never-multicore process; that child forks its primary before
+   starting any daemon, and sends its result back over a pipe. *)
+let run_seed_in_child ~seed =
+  Format.print_flush ();
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  match Unix.fork () with
+  | 0 ->
+      Unix.close rd;
+      let evs = { ev = []; t0 = Unix.gettimeofday () } in
+      let result =
+        match run_seed ~seed evs with
+        | row -> Ok (row, evs.ev)
+        | exception e -> Error (Printexc.to_string e)
+      in
+      let oc = Unix.out_channel_of_descr wr in
+      Marshal.to_channel oc result [];
+      close_out oc;
+      Unix._exit 0
+  | pid -> (
+      Unix.close wr;
+      let ic = Unix.in_channel_of_descr rd in
+      let result =
+        try Some (Marshal.from_channel ic : _ result) with End_of_file -> None
+      in
+      close_in ic;
+      ignore (Unix.waitpid [] pid);
+      match result with
+      | Some (Ok (row, ev)) -> (row, { ev; t0 = 0.0 })
+      | Some (Error m) -> failwith (Printf.sprintf "failover seed %d: %s" seed m)
+      | None ->
+          failwith (Printf.sprintf "failover seed %d: child died" seed))
+
 let write_schedule path rows evs_per_seed =
   (try Unix.mkdir (Filename.dirname path) 0o755
    with Unix.Unix_error ((Unix.EEXIST | Unix.EISDIR), _, _) -> ());
@@ -329,8 +367,7 @@ let run (cfg : Harness.config) =
   let rows_and_events =
     List.map
       (fun seed ->
-        let evs = { ev = []; t0 = Unix.gettimeofday () } in
-        let row = run_seed ~seed evs in
+        let row, evs = run_seed_in_child ~seed in
         failover_results := row :: !failover_results;
         if
           not

@@ -112,6 +112,89 @@ module Rw = struct
     Fun.protect ~finally:(fun () -> write_release t) f
 end
 
+(* A wake-up bell: a sequence number and a condition under one mutex.
+   [ring] bumps the number and wakes every waiter. A waiter samples
+   [seq] {e before} checking the state it awaits and hands the sample to
+   [wait], which returns at once if the bell has rung since — so a change
+   landing between the check and the wait is never missed.
+
+   The mutex is a leaf lock: [ring] runs inside the WAL's write-out hook,
+   under the WAL's mutex, so nothing may take another lock or call into
+   the WAL while holding it.
+
+   OCaml 5.1's [Condition] has no timed wait, so deadlines, heartbeats
+   and flags set without a ring are served by a ticker: while anyone is
+   parked in [wait], one thread per bell rings it every [tick_s]. The
+   ticker exits by itself once nobody is parked and is never joined, so
+   no set-up or stop path waits out a tick. Waiters therefore re-check
+   their own deadline after every wake-up; each is late by at most
+   [tick_s]. *)
+module Bell = struct
+  type t = {
+    m : Mutex.t;
+    c : Condition.t;
+    mutable seq : int;
+    mutable parked : int;  (** threads blocked in [wait] *)
+    mutable ticking : bool;  (** a ticker thread is alive *)
+  }
+
+  let tick_s = 0.05
+
+  let create () =
+    {
+      m = Mutex.create ();
+      c = Condition.create ();
+      seq = 0;
+      parked = 0;
+      ticking = false;
+    }
+
+  let seq t = with_lock t.m (fun () -> t.seq)
+
+  let ring_locked t =
+    t.seq <- t.seq + 1;
+    Condition.broadcast t.c
+
+  let ring t = with_lock t.m (fun () -> ring_locked t)
+
+  let rec ticker t =
+    Thread.delay tick_s;
+    let again =
+      with_lock t.m (fun () ->
+          if t.parked = 0 then t.ticking <- false else ring_locked t;
+          t.ticking)
+    in
+    if again then ticker t
+
+  (* Block until the bell rings after [seen] (a ring or a tick). *)
+  let wait t ~seen =
+    with_lock t.m (fun () ->
+        if t.seq = seen then begin
+          if not t.ticking then begin
+            ignore (Thread.create ticker t);
+            t.ticking <- true
+          end;
+          t.parked <- t.parked + 1;
+          while t.seq = seen do
+            Condition.wait t.c t.m
+          done;
+          t.parked <- t.parked - 1
+        end)
+
+  (* Block until [ready ()] holds (true) or [deadline] passes (false). *)
+  let await t ~deadline ready =
+    let rec go () =
+      let seen = seq t in
+      if ready () then true
+      else if Unix.gettimeofday () >= deadline then false
+      else begin
+        wait t ~seen;
+        go ()
+      end
+    in
+    go ()
+end
+
 let chunk_bytes = 1 lsl 20
 let batch_bytes = 256 * 1024
 let heartbeat_s = 0.2
@@ -154,6 +237,9 @@ module Sender = struct
     page_size : int;
     source : source;
     lock : Mutex.t;
+    bell : Bell.t;
+        (** rung when the shippable end moves, an ack arrives, a
+            subscriber is dropped, or the sender stops *)
     subs : (int, sub) Hashtbl.t;
     mutable next_sub : int;
     mutable fenced : int;
@@ -174,22 +260,11 @@ module Sender = struct
     | Static { static_epoch; _ } -> static_epoch
 
   (* The shippable end: a commit boundary whose bytes are visible in the
-     file. [committed_end] can briefly exceed [written_lsn] mid-commit
-     (records buffered, fsync pending); wait the gap out rather than
-     shipping a non-boundary prefix. *)
+     file. *)
   let shippable_end t =
     match t.source with
     | Static { static_end; _ } -> static_end
-    | Live wal ->
-        let rec settle tries =
-          let c = Wal.committed_end wal in
-          if Wal.written_lsn wal >= c || tries > 500 then c
-          else begin
-            Unix.sleepf 0.002;
-            settle (tries + 1)
-          end
-        in
-        settle 0
+    | Live wal -> Wal.shippable_end wal
 
   let make ~wal_path ~data_path ~page_size ~source =
     {
@@ -198,6 +273,7 @@ module Sender = struct
       page_size;
       source;
       lock = Mutex.create ();
+      bell = Bell.create ();
       subs = Hashtbl.create 4;
       next_sub = 1;
       fenced = 0;
@@ -219,8 +295,12 @@ module Sender = struct
           Wal.log_epoch wal 1;
           Wal.commit wal
         end;
-        make ~wal_path:(Wal.path wal) ~data_path:(Real_disk.path disk)
-          ~page_size:(Real_disk.page_size disk) ~source:(Live wal)
+        let t =
+          make ~wal_path:(Wal.path wal) ~data_path:(Real_disk.path disk)
+            ~page_size:(Real_disk.page_size disk) ~source:(Live wal)
+        in
+        Wal.set_write_out_hook wal (fun () -> Bell.ring t.bell);
+        t
     | _ -> invalid_arg "Replication.Sender.create: environment not durable"
 
   let create_for_dir ~dir =
@@ -343,19 +423,21 @@ module Sender = struct
         (fun () ->
           let last_sent = ref (Unix.gettimeofday ()) in
           let rec loop pos =
+            let seen = Bell.seq t.bell in
             if t.stopped || not sub.sub_alive then false
-            else if Wal_stream.Cursor.rotated cur then true
             else begin
+              (* Read [e] before the rotation check: a checkpoint renames
+                 the log before it publishes the new generation's end, so
+                 an end read here is never applied to the wrong file. *)
               let e = shippable_end t in
-              if pos < e then begin
+              if Wal_stream.Cursor.rotated cur then true
+              else if pos < e then begin
                 let data = Wal_stream.Cursor.read cur ~upto:e ~max:batch_bytes in
                 let n = Bytes.length data in
-                if n = 0 then begin
-                  (* written_lsn advanced but the kernel shows less than
-                     we expected — only possible across a rotation *)
-                  Unix.sleepf 0.005;
-                  Wal_stream.Cursor.rotated cur
-                end
+                if n = 0 then
+                  (* the file holds less than its shippable end — never
+                     expected; resync through a fresh session *)
+                  true
                 else begin
                   sub.sub_send
                     (Wire.Rep_wal
@@ -377,7 +459,7 @@ module Sender = struct
                        { epoch = epoch t; start_lsn = pos; primary_end = e; data = "" });
                   last_sent := now
                 end;
-                Unix.sleepf 0.01;
+                Bell.wait t.bell ~seen;
                 loop pos
               end
             end
@@ -434,7 +516,8 @@ module Sender = struct
     with_lock t.lock (fun () ->
         match Hashtbl.find_opt t.subs id with
         | Some sub -> if applied_lsn > sub.sub_acked then sub.sub_acked <- applied_lsn
-        | None -> ())
+        | None -> ());
+    Bell.ring t.bell
 
   let drop t ~id =
     with_lock t.lock (fun () ->
@@ -442,7 +525,8 @@ module Sender = struct
         | Some sub ->
             sub.sub_alive <- false;
             Hashtbl.remove t.subs id
-        | None -> ())
+        | None -> ());
+    Bell.ring t.bell
 
   let connected t =
     with_lock t.lock (fun () ->
@@ -483,15 +567,9 @@ module Sender = struct
      "zero acknowledged-commit loss" a theorem rather than a race. *)
   let wait_applied t ~lsn ~timeout_s =
     let deadline = Unix.gettimeofday () +. timeout_s in
-    let rec go () =
-      if max_acked t >= lsn then true
-      else if Unix.gettimeofday () >= deadline || t.stopped then false
-      else begin
-        Unix.sleepf 0.002;
-        go ()
-      end
-    in
-    go ()
+    let applied () = max_acked t >= lsn in
+    ignore (Bell.await t.bell ~deadline (fun () -> applied () || t.stopped));
+    applied ()
 
   (* A minimal replication-only accept loop, for primaries that are not
      full daemons (the chaos harness's forked child). Handles
@@ -562,6 +640,8 @@ module Sender = struct
     | None -> ());
     let subs = with_lock t.lock (fun () -> Hashtbl.fold (fun _ s acc -> s :: acc) t.subs []) in
     List.iter (fun s -> s.sub_alive <- false) subs;
+    (* Wake streaming threads and [wait_applied] callers. *)
+    Bell.ring t.bell;
     (* Unblock reader threads parked on idle replicas: without this a
        stop racing a quiet subscriber would deadlock the join below. *)
     let conns = with_lock t.lock (fun () -> t.conns) in
@@ -590,6 +670,7 @@ module Replica = struct
     stats : Storage.Iostats.t;
     rw : Rw.t;
     lock : Mutex.t;
+    bell : Bell.t;  (** rung wherever [synced] is set *)
     mutable epoch : int;
     mutable applied : int;  (** applied + fsynced through this LSN *)
     mutable primary_end : int;  (** last shippable end heard *)
@@ -636,6 +717,7 @@ module Replica = struct
       stats = Storage.Iostats.create ();
       rw = Rw.create ();
       lock = Mutex.create ();
+      bell = Bell.create ();
       epoch = 0;
       applied = 0;
       primary_end = 0;
@@ -687,31 +769,49 @@ module Replica = struct
 
   let zero_page psize = Bytes.make psize '\000'
 
-  (* Redo one shipped record against the replica's data file. Identical
-     in spirit to {!Recovery.redo}, but incremental: pages already
-     reflect every earlier record, so deltas apply in place. *)
-  let apply_record t disk psize = function
-    | Wal.Alloc { page; _ } ->
-        Real_disk.ensure_pages disk (page + 1);
-        Real_disk.write ~lsn:0 disk page (zero_page psize)
-    | Wal.Page_image { page; data } ->
-        Real_disk.ensure_pages disk (page + 1);
-        let b = zero_page psize in
-        Bytes.blit data 0 b 0 (min (Bytes.length data) psize);
-        Real_disk.write ~lsn:0 disk page b
-    | Wal.Heap_append { page; off; count; data } ->
-        let len = Bytes.length data in
-        if off < 2 || off + len > psize then
-          failwith
-            (Printf.sprintf "replica: heap append outside page (page %d)" page);
-        let img = Real_disk.read disk page in
-        Bytes.blit data 0 img off len;
-        Bytes.set_uint8 img 0 (count land 0xff);
-        Bytes.set_uint8 img 1 ((count lsr 8) land 0xff);
-        Real_disk.write ~lsn:0 disk page img
-    | Wal.Epoch { epoch } ->
-        with_lock t.lock (fun () -> if epoch > t.epoch then t.epoch <- epoch)
-    | Wal.Free _ | Wal.Define _ | Wal.Commit | Wal.Checkpoint _ -> ()
+  (* Redo one shipped batch's records against the replica's data file.
+     Identical in spirit to {!Recovery.redo}, but incremental: pages
+     already reflect every earlier record, so deltas apply in place. Each
+     touched page is read at most once and written once, after the
+     batch's last record on it: a commit's deltas mostly share a page,
+     and every page read and write checksums the whole page. *)
+  let apply_records t disk records =
+    let psize = Real_disk.page_size disk in
+    let touched = Hashtbl.create 8 in
+    let image page =
+      match Hashtbl.find_opt touched page with
+      | Some img -> img
+      | None ->
+          let img = Real_disk.read disk page in
+          Hashtbl.replace touched page img;
+          img
+    in
+    List.iter
+      (fun (_, r) ->
+        match r with
+        | Wal.Alloc { page; _ } ->
+            Real_disk.ensure_pages disk (page + 1);
+            Hashtbl.replace touched page (zero_page psize)
+        | Wal.Page_image { page; data } ->
+            Real_disk.ensure_pages disk (page + 1);
+            let b = zero_page psize in
+            Bytes.blit data 0 b 0 (min (Bytes.length data) psize);
+            Hashtbl.replace touched page b
+        | Wal.Heap_append { page; off; count; data } ->
+            let len = Bytes.length data in
+            if off < 2 || off + len > psize then
+              failwith
+                (Printf.sprintf "replica: heap append outside page (page %d)"
+                   page);
+            let img = image page in
+            Bytes.blit data 0 img off len;
+            Bytes.set_uint8 img 0 (count land 0xff);
+            Bytes.set_uint8 img 1 ((count lsr 8) land 0xff)
+        | Wal.Epoch { epoch } ->
+            with_lock t.lock (fun () -> if epoch > t.epoch then t.epoch <- epoch)
+        | Wal.Free _ | Wal.Define _ | Wal.Commit | Wal.Checkpoint _ -> ())
+      records;
+    Hashtbl.iter (fun page img -> Real_disk.write ~lsn:0 disk page img) touched
 
   (* Apply one drained batch under the write lock: log bytes first
      (append + fsync — the durability point the ack reports), then the
@@ -728,17 +828,15 @@ module Replica = struct
       | Some a -> a
       | None -> failwith "replica: no appender"
     in
-    let psize = Real_disk.page_size disk in
     Rw.with_write t.rw (fun () ->
         Wal_stream.Appender.append appender d.Wal_stream.Tail.bytes;
         Wal_stream.Appender.fsync appender;
-        List.iter
-          (fun (_, r) -> apply_record t disk psize r)
-          d.Wal_stream.Tail.records);
+        apply_records t disk d.Wal_stream.Tail.records);
     with_lock t.lock (fun () ->
         t.applied <- d.Wal_stream.Tail.new_end;
         t.generation <- t.generation + 1;
-        t.synced <- true)
+        t.synced <- true);
+    Bell.ring t.bell
 
   (* Snapshot reception state: the two .sync files being filled. *)
   type snap = {
@@ -786,7 +884,8 @@ module Replica = struct
     with_lock t.lock (fun () ->
         t.generation <- t.generation + 1;
         t.synced <- true;
-        t.snapshots <- t.snapshots + 1)
+        t.snapshots <- t.snapshots + 1);
+    Bell.ring t.bell
 
   let send_ack t fd =
     let epoch, applied = with_lock t.lock (fun () -> (t.epoch, t.applied)) in
@@ -956,16 +1055,9 @@ module Replica = struct
     | None -> t.thread <- Some (Thread.create applier t)
 
   let wait_synced ?(timeout_s = 30.0) t =
-    let deadline = Unix.gettimeofday () +. timeout_s in
-    let rec go () =
-      if with_lock t.lock (fun () -> t.synced) then true
-      else if Unix.gettimeofday () >= deadline then false
-      else begin
-        Unix.sleepf 0.01;
-        go ()
-      end
-    in
-    go ()
+    Bell.await t.bell
+      ~deadline:(Unix.gettimeofday () +. timeout_s)
+      (fun () -> with_lock t.lock (fun () -> t.synced))
 
   let dir t = t.dir
   let generation t = with_lock t.lock (fun () -> t.generation)
@@ -1030,6 +1122,7 @@ module Replica = struct
           t.promoted <- true;
           t.synced <- true;
           t.generation <- t.generation + 1);
+      Bell.ring t.bell;
       new_epoch
     end
 

@@ -93,7 +93,12 @@ module Sender : sig
 
   val wait_applied : t -> lsn:int -> timeout_s:float -> bool
   (** Semi-synchronous commit: block until some subscriber has acked
-      (applied + fsynced) through [lsn], or the timeout passes. *)
+      (applied + fsynced) through [lsn] ([true]), or the timeout passes
+      or the sender stops ([false]). Woken by the ack itself, not by
+      polling; the timeout is honoured to within ~50 ms. Streaming
+      threads are likewise woken when the log's shippable end moves
+      ({!Storage.Wal.shippable_end}), so a commit's bytes leave as soon
+      as they are written out, overlapping the primary's fsync. *)
 
   val listen : ?host:string -> port:int -> t -> int
   (** Start a minimal replication-only accept loop (subscribe/ack
@@ -103,7 +108,8 @@ module Sender : sig
       ({!Wire.set_nodelay}). *)
 
   val stop : t -> unit
-  (** Stop the listener and all streaming threads; joins them. *)
+  (** Stop the listener and all streaming threads; joins them. Blocked
+      {!wait_applied} callers return [false]. *)
 end
 
 (** Replica side: catch up (snapshot or local recovery), tail the log,
@@ -124,7 +130,8 @@ module Replica : sig
 
   val wait_synced : ?timeout_s:float -> t -> bool
   (** Block until the first catch-up completes (local state reflects
-      some committed prefix of the primary). *)
+      some committed prefix of the primary); woken by the catch-up
+      itself, [false] within ~50 ms of the timeout. *)
 
   val with_read : t -> (unit -> 'a) -> 'a
   (** Run [f] under the read side of the replica's lock: the applier

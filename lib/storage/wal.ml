@@ -71,6 +71,11 @@ type t = {
   mutable written_lsn : int;  (** bytes handed to the kernel *)
   mutable durable_lsn : int;  (** bytes known fsynced *)
   mutable committed_end : int;  (** LSN of the last commit/checkpoint *)
+  mutable shippable_end : int;
+      (** the last commit boundary handed to the kernel: visible through
+          an independent fd, and what the replication sender ships *)
+  mutable on_write_out : unit -> unit;
+      (** called under [lock] right after [shippable_end] moves *)
   mutable syncing : bool;  (** a group-commit leader is in fsync *)
   (* counters for the wal bench and tests *)
   mutable commits : int;
@@ -405,14 +410,19 @@ let rec write_all fd buf pos len =
     write_all fd buf (pos + n) (len - n)
   end
 
-(* Hand the buffered tail to the kernel (no fsync). Caller holds the lock. *)
+(* Hand the buffered tail to the kernel (no fsync). Caller holds the lock.
+   Every buffered byte is then in the file, so the last commit boundary
+   is too: it becomes the shippable end, and the hook wakes whoever
+   ships it — before the fsync, so shipping overlaps it. *)
 let write_out_locked t =
   if Buffer.length t.buf > 0 then begin
     if t.readonly then raise (Read_only "write");
     let data = Buffer.to_bytes t.buf in
     write_all (fd_exn t "write") data 0 (Bytes.length data);
     Buffer.clear t.buf;
-    t.written_lsn <- t.next_lsn
+    t.written_lsn <- t.next_lsn;
+    t.shippable_end <- t.committed_end;
+    t.on_write_out ()
   end
 
 let fsync_fd t =
@@ -603,7 +613,9 @@ let checkpoint t =
       t.next_lsn <- Bytes.length data;
       t.written_lsn <- t.next_lsn;
       t.durable_lsn <- t.next_lsn;
-      t.committed_end <- t.next_lsn)
+      t.committed_end <- t.next_lsn;
+      t.shippable_end <- t.next_lsn;
+      t.on_write_out ())
 
 (* ------------------------------------------------------------------ *)
 (* Opening *)
@@ -628,6 +640,8 @@ let make ~path ~mode ~readonly ~fd =
     written_lsn = header_size;
     durable_lsn = header_size;
     committed_end = header_size;
+    shippable_end = header_size;
+    on_write_out = ignore;
     syncing = false;
     commits = 0;
     fsyncs = 0;
@@ -668,6 +682,7 @@ let open_existing ~path ~mode ~readonly =
   t.written_lsn <- s.scan_valid_end;
   t.durable_lsn <- s.scan_valid_end;
   t.committed_end <- s.scan_valid_end;
+  t.shippable_end <- s.scan_valid_end;
   t
 
 let close t =
@@ -711,11 +726,16 @@ let epoch t =
   Mutex.unlock t.lock;
   e
 
-let written_lsn t =
+let shippable_end t =
   Mutex.lock t.lock;
-  let l = t.written_lsn in
+  let l = t.shippable_end in
   Mutex.unlock t.lock;
   l
+
+let set_write_out_hook t f =
+  Mutex.lock t.lock;
+  t.on_write_out <- f;
+  Mutex.unlock t.lock
 
 (* Record an epoch bump (promotion). The caller follows with {!commit} so
    the log stays clean-ended; the new epoch is also carried by every

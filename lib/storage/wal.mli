@@ -195,11 +195,19 @@ val epoch : t -> int
 (** Replication epoch in force — the maximum over every [Epoch] and
     [Checkpoint] record seen (0 when the log predates replication). *)
 
-val written_lsn : t -> int
-(** Bytes handed to the kernel — the prefix of the file that is safe to
-    read through an independent fd (buffered records are not yet
-    visible there). The WAL sender ships
-    [min (committed_end t) (written_lsn t)]. *)
+val shippable_end : t -> int
+(** The last commit boundary handed to the kernel: its bytes are visible
+    through an independent fd, and it never exceeds {!committed_end}
+    (records still buffered are not visible there). It moves when the
+    buffered tail is written out — before that write's fsync — and at
+    {!checkpoint}; once {!commit} returns it covers that commit.
+    This is what the WAL sender ships. *)
+
+val set_write_out_hook : t -> (unit -> unit) -> unit
+(** Install the function called right after {!shippable_end} moves,
+    replacing any earlier one. It runs with the log's mutex held, so it
+    must not call back into this log or block: the replication sender
+    only rings a wake-up bell from it. *)
 
 val log_epoch : t -> int -> unit
 (** Append an [Epoch] record (promotion). The caller should {!commit}

@@ -29,7 +29,7 @@ module Cursor : sig
 
   val read : t -> upto:int -> max:int -> bytes
   (** Read up to [max] bytes, never past offset [upto] (the shippable
-      end: [min committed_end written_lsn]). [Bytes.empty] when caught
+      end, {!Wal.shippable_end}). [Bytes.empty] when caught
       up. Advances the cursor. *)
 
   val close : t -> unit

@@ -424,8 +424,111 @@ let group_commit_threads () =
       in
       Alcotest.(check int) "all defines durable" total defines)
 
+(* ------------------------------------------------------------------ *)
+(* Shippable end: what the replication sender streams *)
+
+let file_contents path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* [Wal.shippable_end] never runs ahead of the bytes an independent fd
+   sees, and is a commit boundary: a replica-side tail fed exactly those
+   bytes drains all of them. *)
+let shippable_ok wal =
+  let e = Wal.shippable_end wal in
+  let visible = file_contents (Wal.path wal) in
+  e <= String.length visible
+  && (e = Wal.header_size
+     ||
+     let tail = Wal_stream.Tail.create ~start_lsn:Wal.header_size in
+     Wal_stream.Tail.feed tail
+       (Bytes.of_string
+          (String.sub visible Wal.header_size (e - Wal.header_size)));
+     match Wal_stream.Tail.drain tail with
+     | Ok (Some d) -> d.Wal_stream.Tail.new_end = e
+     | Ok None | Error _ -> false)
+
+let prop_shippable_end =
+  QCheck.Test.make ~count:15
+    ~name:"shippable_end: visible, a commit boundary, = committed_end after commit"
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      List.for_all
+        (fun mode ->
+          with_dir (fun dir ->
+              Unix.mkdir dir 0o755;
+              let wal = Wal.create ~path:(Recovery.wal_path_of dir) ~mode in
+              let rng = Random.State.make [| seed; 0x5E1D |] in
+              let ok = ref (shippable_ok wal) in
+              for step = 1 to 40 do
+                (* One checkpoint mid-run in every mode, others at random. *)
+                if step = 20 || Random.State.int rng 12 = 0 then
+                  Wal.checkpoint wal
+                else if Random.State.bool rng then begin
+                  let fid = Wal.new_file wal in
+                  Wal.log_define wal ~fid
+                    ~meta:(Bytes.make (Random.State.int rng 300) 'm')
+                end
+                else begin
+                  Wal.commit wal;
+                  ok := !ok && Wal.shippable_end wal = Wal.committed_end wal
+                end;
+                ok := !ok && shippable_ok wal
+              done;
+              Wal.close wal;
+              !ok))
+        [ Wal.Always; Wal.Group; Wal.Never ])
+
+(* Group commit moves the shippable end while other committers append:
+   a concurrent reader must never see it ahead of the file or off a
+   boundary. *)
+let shippable_end_concurrent () =
+  with_dir (fun dir ->
+      Unix.mkdir dir 0o755;
+      let wal = Wal.create ~path:(Recovery.wal_path_of dir) ~mode:Wal.Group in
+      let writing = ref true and samples = ref 0 and bad = ref 0 in
+      let sampler =
+        Thread.create
+          (fun () ->
+            while !writing do
+              if not (shippable_ok wal) then incr bad;
+              incr samples;
+              Thread.yield ()
+            done)
+          ()
+      in
+      while !samples = 0 do
+        Thread.yield ()
+      done;
+      let writers =
+        List.init 3 (fun ti ->
+            Thread.create
+              (fun () ->
+                for k = 1 to 30 do
+                  let fid = Wal.new_file wal in
+                  Wal.log_define wal ~fid
+                    ~meta:(Bytes.of_string (Printf.sprintf "w%d-%d" ti k));
+                  Wal.commit wal
+                done)
+              ())
+      in
+      List.iter Thread.join writers;
+      writing := false;
+      Thread.join sampler;
+      Alcotest.(check bool) "sampled while writing" true (!samples > 0);
+      Alcotest.(check int) "samples off a visible boundary" 0 !bad;
+      Alcotest.(check int) "caught up once writers return"
+        (Wal.committed_end wal) (Wal.shippable_end wal);
+      Wal.close wal)
+
 let wal_tests =
-  [ tc "group commit: concurrent committers all durable" `Quick group_commit_threads ]
+  [
+    tc "group commit: concurrent committers all durable" `Quick group_commit_threads;
+    tc "shippable_end under concurrent group commit" `Quick
+      shippable_end_concurrent;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: any single-byte corruption of a persisted page is detected *)
@@ -664,5 +767,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_crash_offset_determinism;
         QCheck_alcotest.to_alcotest prop_torn_write_recovery;
         QCheck_alcotest.to_alcotest prop_checkpoint_crash_idempotent;
+        QCheck_alcotest.to_alcotest prop_shippable_end;
       ] );
   ]

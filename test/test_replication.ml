@@ -343,6 +343,173 @@ let e2e_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Wake-ups: the semi-sync path is woken by the state it waits on, and
+   every timed wake-up (deadline, heartbeat, stop) still ends on time *)
+
+(* A primary with one synced [Sender.listen] replica; both stopped and
+   the primary closed afterwards. *)
+let with_pair ?(wal_sync = Wal.Always) f =
+  with_dir2 (fun pdir rdir ->
+      let env =
+        Env.open_durable ~dir:pdir ~page_size:512 ~pool_pages:256 ~wal_sync ()
+      in
+      let rel = Relation.create ~durable:true env schema in
+      Env.commit env;
+      let sender = Replication.Sender.create ~env in
+      let port = Replication.Sender.listen ~port:0 sender in
+      let replica =
+        Replication.Replica.create ~dir:rdir ~primary:(addr_of port) ()
+      in
+      Replication.Replica.start replica;
+      Fun.protect
+        ~finally:(fun () ->
+          Replication.Replica.stop replica;
+          Replication.Sender.stop sender;
+          Env.close env)
+        (fun () ->
+          Alcotest.(check bool) "replica synced" true
+            (Replication.Replica.wait_synced ~timeout_s:30.0 replica);
+          f env rel sender replica))
+
+let elapsed f =
+  let t0 = Unix.gettimeofday () in
+  let v = f () in
+  (v, Unix.gettimeofday () -. t0)
+
+(* A TCP port nothing listens on: bound, then released. *)
+let closed_port () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let port =
+    match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> 0
+  in
+  Unix.close fd;
+  port
+
+let wake_tests =
+  [
+    tc "semi-sync latency: median wait_applied under 5 ms" `Quick (fun () ->
+        (* WAL [Never] keeps the primary's fsync out of the timing: what
+           is left is shipping, the replica's append + fsync, and the
+           ack. A sender that sleeps whenever it is caught up makes each
+           round wait out the rest of its sleep instead. *)
+        with_pair ~wal_sync:Wal.Never (fun env rel sender _replica ->
+            let wal = Option.get (Env.wal env) in
+            let waits =
+              List.init 30 (fun k ->
+                  List.iter (Relation.insert rel) (batch ~seed:k ~start:(4 * k) 4);
+                  Env.commit env;
+                  let acked, dt =
+                    elapsed (fun () ->
+                        Replication.Sender.wait_applied sender
+                          ~lsn:(Wal.committed_end wal) ~timeout_s:10.0)
+                  in
+                  Alcotest.(check bool) "acked" true acked;
+                  dt)
+            in
+            let steady =
+              List.sort compare (List.filteri (fun i _ -> i >= 5) waits)
+            in
+            let median = List.nth steady (List.length steady / 2) in
+            if median >= 0.005 then
+              Alcotest.failf "median wait_applied %.2f ms (want < 5 ms)"
+                (1000.0 *. median)));
+    tc "wait_applied with no subscriber times out on time" `Quick (fun () ->
+        with_dir (fun pdir ->
+            let env = open_primary pdir in
+            let sender = Replication.Sender.create ~env in
+            let lsn = Wal.committed_end (Option.get (Env.wal env)) in
+            let acked, dt =
+              elapsed (fun () ->
+                  Replication.Sender.wait_applied sender ~lsn ~timeout_s:0.3)
+            in
+            Replication.Sender.stop sender;
+            Env.close env;
+            Alcotest.(check bool) "not acked" false acked;
+            Alcotest.(check bool)
+              (Printf.sprintf "returned after %.3f s, within timeout + 0.5 s" dt)
+              true
+              (dt >= 0.3 && dt < 0.8)));
+    tc "Sender.stop ends a blocked wait_applied" `Quick (fun () ->
+        with_dir (fun pdir ->
+            let env = open_primary pdir in
+            let sender = Replication.Sender.create ~env in
+            let lsn = Wal.committed_end (Option.get (Env.wal env)) in
+            let result = ref None in
+            let waiter =
+              Thread.create
+                (fun () ->
+                  let acked =
+                    Replication.Sender.wait_applied sender ~lsn ~timeout_s:30.0
+                  in
+                  result := Some (acked, Unix.gettimeofday ()))
+                ()
+            in
+            Unix.sleepf 0.1;
+            let stopped_at = Unix.gettimeofday () in
+            Replication.Sender.stop sender;
+            Thread.join waiter;
+            Env.close env;
+            match !result with
+            | None -> Alcotest.fail "waiter never returned"
+            | Some (acked, at) ->
+                Alcotest.(check bool) "not acked" false acked;
+                Alcotest.(check bool)
+                  (Printf.sprintf "returned %.3f s after stop, within 0.5 s"
+                     (at -. stopped_at))
+                  true
+                  (at -. stopped_at < 0.5)));
+    tc "Sender.stop with an idle subscriber returns within 1 s" `Quick
+      (fun () ->
+        with_dir2 (fun pdir rdir ->
+            let env = open_primary pdir in
+            let sender = Replication.Sender.create ~env in
+            let port = Replication.Sender.listen ~port:0 sender in
+            let replica =
+              Replication.Replica.create ~dir:rdir ~primary:(addr_of port) ()
+            in
+            Replication.Replica.start replica;
+            Alcotest.(check bool) "synced" true
+              (Replication.Replica.wait_synced ~timeout_s:30.0 replica);
+            Unix.sleepf 0.3;
+            let (), dt = elapsed (fun () -> Replication.Sender.stop sender) in
+            Replication.Replica.stop replica;
+            Env.close env;
+            Alcotest.(check bool)
+              (Printf.sprintf "stop took %.3f s" dt)
+              true (dt < 1.0)));
+    tc "wait_synced on an unreachable primary times out on time" `Quick
+      (fun () ->
+        with_dir (fun rdir ->
+            let replica =
+              Replication.Replica.create ~dir:rdir
+                ~primary:(addr_of (closed_port ()))
+                ()
+            in
+            Replication.Replica.start replica;
+            let synced, dt =
+              elapsed (fun () ->
+                  Replication.Replica.wait_synced ~timeout_s:0.4 replica)
+            in
+            Replication.Replica.stop replica;
+            Alcotest.(check bool) "never synced" false synced;
+            Alcotest.(check bool)
+              (Printf.sprintf "returned after %.3f s, near its 0.4 s timeout" dt)
+              true
+              (dt >= 0.4 && dt < 0.9)));
+    tc "heartbeats keep an idle replica fresh" `Quick (fun () ->
+        with_pair (fun _env _rel _sender replica ->
+            let worst = ref 0.0 in
+            for _ = 1 to 15 do
+              Unix.sleepf 0.1;
+              worst := Float.max !worst (Replication.Replica.stale_ms replica)
+            done;
+            Alcotest.(check bool)
+              (Printf.sprintf "worst stale_ms %.0f over 1.5 s idle" !worst)
+              true (!worst < 1000.0)));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Wire protocol: rev-3 frames and the rev-2 interop guarantee *)
 
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -575,5 +742,6 @@ let suites =
   [
     ("replication.wal-stream", wal_stream_tests);
     ("replication.e2e", e2e_tests);
+    ("replication.wake", wake_tests);
     ("replication.wire", wire_tests);
   ]
