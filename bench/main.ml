@@ -5,7 +5,8 @@
     [--seed N] [--domains N] [--batch] [--clients L] [--queries N]
     [--trace PATH]] where targets are any of [table1 table2 table3 table4
     fig3 fig1 ablation chain sort scaling load chaos micro batch kernels
-    telemetry wal recovery failover all] (default: all). [wal] measures WAL
+    telemetry wal recovery failover all] (default: all); [recovery] and
+    [failover] fork, so they always run first. [wal] measures WAL
     commit throughput per sync mode and redo-restart time vs log length;
     [recovery] is the SIGKILL crash-recovery chaos harness (see
     {!Recovery_chaos}); [failover] is the HA chaos harness — SIGKILL the
@@ -1099,6 +1100,15 @@ let () =
     | [] when !trace_path <> None -> []
     | [] -> List.map fst all_targets
     | ts -> ts
+  in
+  (* OCaml 5.1 refuses [Unix.fork] in a process that has ever spawned a
+     domain, so the targets that fork run before any that may spawn one,
+     whatever order they were named in. *)
+  let chosen =
+    let forking, rest =
+      List.partition (fun t -> List.mem t [ "recovery"; "failover" ]) chosen
+    in
+    forking @ rest
   in
   Format.printf
     "Nested Fuzzy SQL reproduction - Section 9 experiments (scale 1/%d, \

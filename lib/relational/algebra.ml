@@ -18,25 +18,29 @@ module Tuple_map = Map.Make (struct
   let compare = Ftuple.compare_values
 end)
 
-let dedup_into_map tuples =
-  List.fold_left
-    (fun m tup ->
-      Tuple_map.update tup
-        (function
-          | None -> Some tup
-          | Some prev ->
-              Some
-                (Ftuple.with_degree prev
-                   (Degree.disj (Ftuple.degree prev) (Ftuple.degree tup))))
-        m)
-    Tuple_map.empty tuples
+type dedup = Ftuple.t Tuple_map.t
+
+let dedup_empty = Tuple_map.empty
+
+let dedup_add m tup =
+  Tuple_map.update tup
+    (function
+      | None -> Some tup
+      | Some prev ->
+          Some
+            (Ftuple.with_degree prev
+               (Degree.disj (Ftuple.degree prev) (Ftuple.degree tup))))
+    m
+
+let dedup_iter m f = Tuple_map.iter (fun _ tup -> f tup) m
+let dedup_into_map tuples = List.fold_left dedup_add dedup_empty tuples
 
 let of_map ?name env schema m =
   let schema =
     match name with Some n -> Schema.with_name schema n | None -> schema
   in
   let out = Relation.create env schema in
-  Tuple_map.iter (fun _ tup -> Relation.insert out tup) m;
+  dedup_iter m (Relation.insert out);
   out
 
 let dedup_max ?name r =

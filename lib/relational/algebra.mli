@@ -20,6 +20,16 @@ val project_positions : ?name:string -> Relation.t -> int list -> Relation.t
 val dedup_max : ?name:string -> Relation.t -> Relation.t
 (** Collapse tuples with identical value vectors, keeping the max degree. *)
 
+type dedup
+(** An in-memory max-dedup accumulator: tuples keyed by value vector, each
+    with the max degree added for it. *)
+
+val dedup_empty : dedup
+val dedup_add : dedup -> Ftuple.t -> dedup
+
+val dedup_iter : dedup -> (Ftuple.t -> unit) -> unit
+(** In ascending value-vector order. *)
+
 val union_max : ?name:string -> Relation.t -> Relation.t -> Relation.t
 (** Fuzzy union: max degree per value vector. Schemas must have equal
     arity. *)

@@ -405,18 +405,44 @@ let sweep_sorted ?pool ?trace ?cancel ?(batch = false) ?f_batch ~outer ~inner
                 ~advance_inner:(fun () -> ignore (Relation.Cursor.next sc))
                 ~outer_attr ~inner_attr ~f ()))
 
-let join_with_rng ?name ?pool ?trace ?cancel ?(batch = false) ~outer ~inner
-    ~outer_attr ~inner_attr ~mem_pages ?residual ~rng_degree () =
+let join_with_rng ?name ?pool ?trace ?cancel ?(batch = false) ?project ~outer
+    ~inner ~outer_attr ~inner_attr ~mem_pages ?residual ~rng_degree () =
   let env = Relation.env outer in
-  let out_schema =
+  let joined_schema =
     Schema.concat
       ~name:(Option.value name ~default:"join")
       (Relation.schema outer) (Relation.schema inner)
+  in
+  let out_schema =
+    match project with
+    | None -> joined_schema
+    | Some ps ->
+        Schema.make ~name:(Schema.name joined_schema)
+          (List.map (fun p -> (Schema.attrs joined_schema).(p)) ps)
   in
   Trace.with_span trace ~stats:env.Env.stats
     ("join " ^ Schema.name out_schema)
     (fun () ->
       let out = Relation.create env out_schema in
+      (* With [project], a match is cut down to the kept positions and
+         folded into [kept] by max: the dropped columns are never written. *)
+      let kept = ref Algebra.dedup_empty in
+      let emit =
+        match project with
+        | None -> fun r s d -> Relation.insert out (Ftuple.concat r s d)
+        | Some ps ->
+            let n_r = Schema.arity (Relation.schema outer) in
+            let ps = Array.of_list ps in
+            fun r s d ->
+              let vs =
+                Array.map
+                  (fun p ->
+                    if p < n_r then Ftuple.value r p
+                    else Ftuple.value s (p - n_r))
+                  ps
+              in
+              kept := Algebra.dedup_add !kept (Ftuple.make vs d)
+      in
       (* The sorted temporaries must not outlive the join even when the
          sweep unwinds with [Cancel.Cancelled]: a server worker's
          environment lives for many queries, and cancelled queries must not
@@ -445,8 +471,7 @@ let join_with_rng ?name ?pool ?trace ?cancel ?(batch = false) ~outer ~inner
                 Degree.conj_list
                   [ Ftuple.degree r; Ftuple.degree s; d_eq; d_res ]
               in
-              if Degree.positive d then
-                Relation.insert out (Ftuple.concat r s d)
+              if Degree.positive d then emit r s d
             end
           in
           (* Batch fast path: same per-pair evaluation, but straight off the
@@ -460,13 +485,14 @@ let join_with_rng ?name ?pool ?trace ?cancel ?(batch = false) ~outer ~inner
           sweep_sorted ?pool ?trace ?cancel ~batch ~f_batch ~outer:sorted_r
             ~inner:sorted_s ~outer_attr ~inner_attr ~mem_pages ()
             ~f:(fun r rng -> List.iter (fun (s, d_eq) -> pair r s d_eq) rng));
+      Algebra.dedup_iter !kept (Relation.insert out);
       Trace.set_rows trace (Relation.cardinality out);
       out)
 
-let join_eq ?name ?pool ?trace ?cancel ?batch ~outer ~inner ~outer_attr
-    ~inner_attr ~mem_pages ?residual () =
-  join_with_rng ?name ?pool ?trace ?cancel ?batch ~outer ~inner ~outer_attr
-    ~inner_attr ~mem_pages ?residual ~rng_degree:(fun _ _ d -> d) ()
+let join_eq ?name ?pool ?trace ?cancel ?batch ?project ~outer ~inner
+    ~outer_attr ~inner_attr ~mem_pages ?residual () =
+  join_with_rng ?name ?pool ?trace ?cancel ?batch ?project ~outer ~inner
+    ~outer_attr ~inner_attr ~mem_pages ?residual ~rng_degree:(fun _ _ d -> d) ()
 
 let with_indicator ?name ?pool ?trace ?cancel ?batch ~outer ~inner ~outer_attr
     ~inner_attr ~mem_pages ?residual () =

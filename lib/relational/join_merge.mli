@@ -102,13 +102,19 @@ val sweep_sorted :
 
 val join_eq :
   ?name:string -> ?pool:Storage.Task_pool.t -> ?trace:Storage.Trace.t ->
-  ?cancel:Storage.Cancel.t -> ?batch:bool ->
+  ?cancel:Storage.Cancel.t -> ?batch:bool -> ?project:int list ->
   outer:Relation.t -> inner:Relation.t -> outer_attr:int ->
   inner_attr:int -> mem_pages:int ->
   ?residual:(Ftuple.t -> Ftuple.t -> Fuzzy.Degree.t) -> unit -> Relation.t
 (** Full extended merge-join: sort both inputs, sweep, and materialise
     matches with degree [min(D_r, D_s, d(r.X = s.X), residual r s)].
-    Temporary sorted files are destroyed before returning. *)
+    Temporary sorted files are destroyed before returning.
+
+    With [~project:ps], each match is cut down to the positions [ps] of the
+    concatenated (outer, inner) row as the sweep emits it, and rows equal
+    on those positions are merged keeping the max degree: the result is
+    {!Algebra.project_positions} of the full join, without ever writing the
+    full join. *)
 
 val with_indicator :
   ?name:string -> ?pool:Storage.Task_pool.t -> ?trace:Storage.Trace.t ->

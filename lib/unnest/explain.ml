@@ -106,6 +106,15 @@ let chain_text buf (c : Classify.chain) =
   List.iter (fun b -> add ", then join %s" (name b)) order.Chain_order.steps;
   add "\n    estimated total intermediate tuples: %.0f\n"
     order.Chain_order.estimated_cost;
+  let names bs = String.concat ", " (List.map name bs) in
+  add "  after each join keep only the blocks later steps read:\n";
+  List.iter
+    (fun (b, kept, dropped) ->
+      add "    join %s: keep %s" (name b) (names kept);
+      if dropped <> [] then
+        add "; drop %s with max-dedup" (names dropped);
+      add "\n")
+    (Merge_exec.cascade_plan c order);
   add "  rewritten flat query (Theorem 8.1):\n    %s\n" (Rewrite_sql.chain c)
 
 let explain (q : Fuzzysql.Bound.query) : string =

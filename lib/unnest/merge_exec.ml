@@ -437,6 +437,47 @@ let run ?(name = "answer") ?pool ?trace ?cancel ?(batch = false)
   Semantics.apply_threshold deduped threshold
   end
 
+(* After the cascade has joined the block interval [lo, hi], flags the
+   blocks whose columns a later step or the answer still reads: block 0 (the
+   answer columns), an interval end linked to a block not yet joined, and
+   an endpoint of a correlation predicate whose other endpoint has not
+   joined yet. Every other block can be projected away, max-deduplicating
+   on the kept columns: its predicates are all applied, and min distributes
+   over max, so the final degrees come out unchanged, bit for bit. *)
+let live_blocks (chain : Classify.chain) ~lo ~hi =
+  let blocks = Array.of_list chain.Classify.blocks in
+  let k = Array.length blocks in
+  let joined b = lo <= b && b <= hi in
+  let live = Array.make k false in
+  live.(0) <- true;
+  if lo > 0 then live.(lo) <- true;
+  if hi < k - 1 then live.(hi) <- true;
+  Array.iteri
+    (fun b (blk : Classify.chain_block) ->
+      List.iter
+        (fun (c : Classify.corr) ->
+          let target = b - c.Classify.up in
+          if joined b && not (joined target) then live.(b) <- true;
+          if joined target && not (joined b) then live.(target) <- true)
+        blk.Classify.corr)
+    blocks;
+  live
+
+let cascade_plan chain (order : Chain_order.order) =
+  let lo = ref order.Chain_order.start and hi = ref order.Chain_order.start in
+  let held = ref [ order.Chain_order.start ] in
+  List.map
+    (fun b ->
+      lo := Int.min !lo b;
+      hi := Int.max !hi b;
+      let live = live_blocks chain ~lo:!lo ~hi:!hi in
+      let kept, dropped =
+        List.partition (fun blk -> live.(blk)) (!held @ [ b ])
+      in
+      held := kept;
+      (b, kept, dropped))
+    order.Chain_order.steps
+
 let run_chain ?(name = "answer") ?order ?pool ?trace ?cancel ?(batch = false)
     (chain : Classify.chain) ~mem_pages : Relation.t =
   let { Classify.blocks; top_select; chain_threshold } = chain in
@@ -471,24 +512,23 @@ let run_chain ?(name = "answer") ?order ?pool ?trace ?cancel ?(batch = false)
               r))
       blocks_arr
   in
-  let { Chain_order.start; steps; _ } =
-    match order with
-    | Some o -> o
-    | None -> Chain_order.left_to_right k
+  let order =
+    match order with Some o -> o | None -> Chain_order.left_to_right k
   in
-  (* Grow a contiguous interval of blocks with merge-joins, applying each
-     correlation predicate as soon as both of its endpoints are present in
-     the accumulated intermediate tuples. [offsets.(b)] is block [b]'s
-     attribute offset inside the intermediate; -1 while absent. *)
+  let start = order.Chain_order.start in
+  (* Grow a contiguous interval [lo, hi] of blocks with merge-joins,
+     applying each correlation predicate as soon as both of its endpoints
+     have joined, and keeping after each step only the blocks
+     {!cascade_plan} keeps. [offsets.(b)] is block [b]'s attribute offset
+     in the intermediate while [b] is kept. *)
   let offsets = Array.make k (-1) in
   offsets.(start) <- 0;
   let lo = ref start and hi = ref start in
   let arity b = Schema.arity (Relation.schema blocks_arr.(b).Classify.rel) in
   let acc = ref reduced.(start) in
   let acc_owned = ref false in
-  let acc_arity = ref (arity start) in
-  let in_set b = offsets.(b) >= 0 in
-  let add_block b =
+  let in_set b = !lo <= b && b <= !hi in
+  let add_block (b, kept, dropped) =
     Storage.Cancel.check cancel;
     if b <> !lo - 1 && b <> !hi + 1 then
       invalid_arg "Merge_exec.run_chain: order step not adjacent to the set";
@@ -543,8 +583,19 @@ let run_chain ?(name = "answer") ?order ?pool ?trace ?cancel ?(batch = false)
                (Ftuple.value s c.Classify.outer_attr)))
         d1 onto_new
     in
+    (* The joined row is the intermediate's columns followed by block [b]'s;
+       [kept] lists the blocks to keep in that column order. *)
+    offsets.(b) <- Schema.arity (Relation.schema !acc);
+    let project =
+      if dropped = [] then None
+      else
+        Some
+          (List.concat_map
+             (fun blk -> List.init (arity blk) (fun i -> offsets.(blk) + i))
+             kept)
+    in
     let joined =
-      Join_merge.join_eq ?pool ?trace ?cancel ~batch ~outer:!acc
+      Join_merge.join_eq ?pool ?trace ?cancel ~batch ?project ~outer:!acc
         ~inner:new_rel ~outer_attr ~inner_attr ~mem_pages ~residual ()
     in
     temps := joined :: !temps;
@@ -555,12 +606,16 @@ let run_chain ?(name = "answer") ?order ?pool ?trace ?cancel ?(batch = false)
     end;
     acc := joined;
     acc_owned := true;
-    offsets.(b) <- !acc_arity;
-    acc_arity := !acc_arity + arity b;
     if b < !lo then lo := b;
-    if b > !hi then hi := b
+    if b > !hi then hi := b;
+    ignore
+      (List.fold_left
+         (fun off blk ->
+           offsets.(blk) <- off;
+           off + arity blk)
+         0 kept)
   in
-  List.iter add_block steps;
+  List.iter add_block (cascade_plan chain order);
   let out =
     Trace.with_span trace ~stats "project" (fun () ->
         let out =

@@ -15,7 +15,8 @@
     - EXISTS / NOT EXISTS: fuzzy semi- / anti-joins;
     - chain queries (Theorem 8.1): a cascade of merge-joins growing a
       contiguous block interval in a configurable order, correlation
-      predicates applied as soon as both endpoints are available. *)
+      predicates applied as soon as both endpoints are available, and each
+      step keeping only the blocks later steps still need. *)
 
 exception Not_unnestable of string
 (** Raised when no equality predicate links outer and inner (quantified,
@@ -49,7 +50,20 @@ val run_chain :
   Relational.Relation.t
 (** Default order: left-to-right (outermost block first). The order's steps
     must each be adjacent to the already-joined interval
-    ([Invalid_argument] otherwise). [?pool], [?trace] and [?cancel] as for
+    ([Invalid_argument] otherwise). Each step's join keeps only the columns
+    of the blocks {!cascade_plan} keeps, max-deduplicated on them, so an
+    intermediate holds the distinct kept-block combinations rather than
+    the full K-way join; answers and degree bits are those of the full
+    join projected at the end. [?pool], [?trace] and [?cancel] as for
     {!run} (spans: reduce block-i, one join subtree per step, project; the
     cancel token is additionally polled before each cascade step, and the
     cascade's intermediates are freed on cancellation). *)
+
+val cascade_plan :
+  Classify.chain -> Chain_order.order -> (int * int list * int list) list
+(** The chain cascade's projection plan: per step of the order, the block
+    joined, the blocks the step keeps (in the intermediate's column order)
+    and the blocks it drops. A block is kept while its columns are still
+    read: block 0 (the answer columns), an end of the joined interval
+    linked to a block not yet joined, and an endpoint of a correlation
+    predicate whose other endpoint has not joined yet. *)

@@ -117,21 +117,6 @@ let tnorm_prop =
 
 (* ---------- whole-plan bit identity across shapes ---------- *)
 
-(* Exact answers: printed values plus raw degree bits, as a sorted multiset
-   (the engines may emit tie rows in different orders after their sorts). *)
-let answer_bits rel =
-  Relation.to_list rel
-  |> List.map (fun t ->
-         ( Array.to_list (Array.map Value.to_string t.Ftuple.values),
-           Int64.bits_of_float (Ftuple.degree t) ))
-  |> List.sort compare
-
-let pp_bits ppf ans =
-  List.iter
-    (fun (vs, d) ->
-      Format.fprintf ppf "(%s | %Lx)@ " (String.concat ", " vs) d)
-    ans
-
 let check_engines kind spec =
   let catalog = Test_equivalence.make_db spec in
   let rng = Random.State.make [| spec.Test_equivalence.seed + 29 |] in
@@ -140,17 +125,17 @@ let check_engines kind spec =
   let scalar = Unnest.Planner.run ~mem_pages:8 q in
   let batch1 = Unnest.Planner.run ~mem_pages:8 ~batch:true q in
   let batch4 = Unnest.Planner.run ~mem_pages:8 ~batch:true ~domains:4 q in
-  let a = answer_bits scalar
-  and b1 = answer_bits batch1
-  and b4 = answer_bits batch4 in
+  let a = Test_util.answer_bits scalar
+  and b1 = Test_util.answer_bits batch1
+  and b4 = Test_util.answer_bits batch4 in
   if a <> b1 then
     QCheck.Test.fail_reportf
-      "scalar <> batch (domains 1) for %s@.scalar: %a@.batch: %a" sql pp_bits
-      a pp_bits b1;
+      "scalar <> batch (domains 1) for %s@.scalar: %a@.batch: %a" sql
+      Test_util.pp_bits a Test_util.pp_bits b1;
   if a <> b4 then
     QCheck.Test.fail_reportf
-      "scalar <> batch (domains 4) for %s@.scalar: %a@.batch: %a" sql pp_bits
-      a pp_bits b4;
+      "scalar <> batch (domains 4) for %s@.scalar: %a@.batch: %a" sql
+      Test_util.pp_bits a Test_util.pp_bits b4;
   true
 
 let engine_prop name kind ?discrete_ok () =

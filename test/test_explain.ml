@@ -120,6 +120,9 @@ let golden_tests =
           \  join order (interval DP over estimated intermediate sizes):\n\
           \    start with M, then join G, then join F\n\
           \    estimated total intermediate tuples: 0\n\
+          \  after each join keep only the blocks later steps read:\n\
+          \    join G: keep M, G\n\
+          \    join F: keep F; drop M, G with max-dedup\n\
           \  rewritten flat query (Theorem 8.1):\n\
           \    SELECT F.ID FROM F, M, G WHERE p1 AND F.INCOME = M.INCOME AND \
            M.ID = G.ID AND M.AGE = F.AGE AND G.AGE = M.AGE AND G.INCOME = \

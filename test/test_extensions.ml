@@ -302,6 +302,82 @@ let chain_tests =
                  false
                with Invalid_argument _ -> true)
         | _ -> Alcotest.fail "expected a chain");
+    tc "serve's chain: cascade joins stay within the largest block" `Quick
+      (fun () ->
+        let env = Test_util.fresh_env () in
+        let catalog = Catalog.create env in
+        Server.Demo.load_nested ~seed:11 env catalog;
+        let q =
+          Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper
+            "SELECT R.ID FROM R WHERE R.Y IN (SELECT S.Z FROM S WHERE S.Z IN \
+             (SELECT T.W FROM T))"
+        in
+        let trace = Storage.Trace.create () in
+        let answer = Unnest.Planner.run ~trace q in
+        let largest =
+          List.fold_left
+            (fun m r ->
+              Int.max m
+                (Relation.cardinality (Option.get (Catalog.find catalog r))))
+            0 [ "R"; "S"; "T" ]
+        in
+        Alcotest.(check int) "largest input block" 120 largest;
+        let joins = ref 0 in
+        Storage.Trace.iter_spans trace (fun sp ->
+            let name = Storage.Trace.span_name sp in
+            if String.length name > 5 && String.sub name 0 5 = "join " then begin
+              incr joins;
+              match Storage.Trace.span_rows sp with
+              | Some rows when rows <= largest -> ()
+              | rows ->
+                  Alcotest.failf "%s span has %s rows, above %d" name
+                    (Option.fold ~none:"no" ~some:string_of_int rows)
+                    largest
+            end);
+        Alcotest.(check int) "one join span per cascade step" 2 !joins;
+        let naive = Test_util.answer_bits (Unnest.Naive_eval.query q) in
+        if Test_util.answer_bits answer <> naive then
+          Alcotest.failf "merge <> naive:@.naive: %a@.merge: %a"
+            Test_util.pp_bits naive Test_util.pp_bits
+            (Test_util.answer_bits answer));
+    tc "cascade plan drops finished blocks and keeps correlated ones" `Quick
+      (fun () ->
+        let env = Test_util.fresh_env () in
+        let catalog = chain_catalog env ~n1:5 ~n2:5 ~n3:5 in
+        let plan sql (start, steps) =
+          match
+            Unnest.Classify.classify
+              (Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper
+                 sql)
+          with
+          | Unnest.Classify.Chain_query chain ->
+              Unnest.Merge_exec.cascade_plan chain
+                { Unnest.Chain_order.start; steps; estimated_cost = nan }
+          | _ -> Alcotest.fail "expected a chain"
+        in
+        let check label expected got =
+          Alcotest.(check (list (triple int (list int) (list int))))
+            label expected got
+        in
+        let uncorrelated =
+          "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S WHERE S.X IN \
+           (SELECT T.X FROM T))"
+        in
+        check "uncorrelated, from T" [ (1, [ 1 ], [ 2 ]); (0, [ 0 ], [ 1 ]) ]
+          (plan uncorrelated (2, [ 1; 0 ]));
+        check "uncorrelated, left to right"
+          [ (1, [ 0; 1 ], []); (2, [ 0 ], [ 1; 2 ]) ]
+          (plan uncorrelated (0, [ 1; 2 ]));
+        (* T.W >= S.W keeps S until T joins; S.W <= R.W keeps S until R
+           joins. *)
+        check "correlated, from S" [ (2, [ 1 ], [ 2 ]); (0, [ 0 ], [ 1 ]) ]
+          (plan chain_sql (1, [ 2; 0 ]));
+        (* T.W >= R.W reaches across S: T stays until R joins. *)
+        check "cross-level, from T" [ (1, [ 2; 1 ], []); (0, [ 0 ], [ 2; 1 ]) ]
+          (plan
+             "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S WHERE S.X \
+              IN (SELECT T.X FROM T WHERE T.W >= R.W))"
+             (2, [ 1; 0 ])));
     tc "DP prefers starting from the small end" `Quick (fun () ->
         let env = Test_util.fresh_env () in
         (* Block sizes 200 - 200 - 5: joining T (tiny) early shrinks every

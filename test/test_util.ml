@@ -52,6 +52,21 @@ let check_same_answer msg rel1 rel2 =
   if not (answers_equal a1 a2) then
     Alcotest.failf "%s:@.left:@ %a@.right:@ %a" msg pp_answer a1 pp_answer a2
 
+(* Exact answers: printed values plus raw degree bits, as a sorted multiset
+   (engines may emit tie rows in different orders after their sorts). *)
+let answer_bits rel =
+  Relation.to_list rel
+  |> List.map (fun t ->
+         ( Array.to_list (Array.map Value.to_string t.Ftuple.values),
+           Int64.bits_of_float (Ftuple.degree t) ))
+  |> List.sort compare
+
+let pp_bits ppf ans =
+  List.iter
+    (fun (vs, d) ->
+      Format.fprintf ppf "(%s | %Lx)@ " (String.concat ", " vs) d)
+    ans
+
 let fresh_env ?(pool_pages = 256) () = Storage.Env.create ~pool_pages ()
 
 let tuple vs d = Ftuple.make (Array.of_list vs) d
