@@ -163,7 +163,7 @@ let write_schedule path (cells : cell_outcome list) =
   output_string oc " ]}\n";
   close_out oc
 
-let run_cell ~batch ~expected ~setup ~fault_seed ~prob =
+let run_cell ~expected ~setup ~fault_seed ~prob =
   let spec_s = spec_string prob in
   let spec =
     match Storage.Fault.parse_spec spec_s with
@@ -178,7 +178,7 @@ let run_cell ~batch ~expected ~setup ~fault_seed ~prob =
   let ring_capacity = (!queries * client_retry.Server.Retry.max_attempts) + 64 in
   let daemon =
     Server.Daemon.start ~workers ~queue_capacity:32 ~retry:server_retry
-      ~batch ~breaker:(breaker ()) ~fault_spec:spec ~fault_seed
+      ~breaker:(breaker ()) ~fault_spec:spec ~fault_seed
       ~query_log:qlog ~trace_ring_capacity:ring_capacity ~setup ()
   in
   let port = Server.Daemon.port daemon in
@@ -272,8 +272,7 @@ let run_cell ~batch ~expected ~setup ~fault_seed ~prob =
     o_telemetry_bad = telemetry_bad;
     o_row =
       {
-        Harness.c_engine = (if batch then "batch" else "scalar");
-        c_fault_seed = fault_seed;
+        Harness.c_fault_seed = fault_seed;
         c_prob = prob;
         c_spec = spec_s;
         c_ok = Atomic.get ok;
@@ -324,8 +323,7 @@ let run (cfg : Harness.config) =
         List.map
           (fun prob ->
             let cell =
-              run_cell ~batch:cfg.Harness.batch ~expected ~setup ~fault_seed
-                ~prob
+              run_cell ~expected ~setup ~fault_seed ~prob
             in
             let r = cell.o_row in
             Format.printf

@@ -24,7 +24,6 @@ type config = {
   io_latency : float;  (** seconds per page transfer (1995 disk ~ 20 ms) *)
   seed : int;
   domains : int;  (** merge-join execution parallelism (1 = sequential) *)
-  batch : bool;  (** vectorized columnar merge-join engine *)
 }
 
 (* Calibration of [io_latency]: the paper's SPARC/IPC spent ~7.8 us per
@@ -35,8 +34,7 @@ type config = {
    latency keeps the paper's CPU : I/O ratio (20 ms scaled by the ~40x CPU
    speedup => 0.5 ms); pass [--io-latency 0.02] for the period-accurate
    disk. *)
-let default_config =
-  { scale = 4; io_latency = 0.0005; seed = 42; domains = 1; batch = false }
+let default_config = { scale = 4; io_latency = 0.0005; seed = 42; domains = 1 }
 
 (* The paper's buffer: 2 MB of 8 KB pages, scaled. *)
 let mem_pages cfg = Int.max 8 (256 / cfg.scale)
@@ -75,19 +73,19 @@ type row = {
   row_bench : string;
   row_cell : string;
   row_method : string;
-  row_engine : string;  (** ["scalar"] or ["batch"] — the executor used *)
   row_domains : int;
   row_scale : int;
   row_wall_s : float;
   row_response_s : float;
   row_cpu_s : float;
+  row_sort_s : float;  (** coordinator wall seconds in the Sort phase *)
   row_ios : int;
   row_fuzzy_ops : int;
   row_answer_size : int;
   row_checksum : string;
       (** order-independent digest of the answer multiset — tuple values and
-          IEEE-754 degree bits — so batch-vs-scalar and parallel-vs-sequential
-          cells can be asserted bit-identical from the JSON alone *)
+          IEEE-754 degree bits — so parallel-vs-sequential cells can be
+          asserted bit-identical from the JSON alone *)
   mutable row_io_overhead : float;
       (** #IOs of this cell / #IOs of the same workload at domains = 1
           (1.0 when no baseline applies); the parallel engine's private
@@ -104,7 +102,6 @@ type load_row = {
   l_clients : int;
   l_workers : int;
   l_domains : int;
-  l_engine : string;
   l_queries : int;  (** completed with a verified-correct answer *)
   l_wrong : int;  (** completed but answer differed from sequential truth *)
   l_overloaded : int;  (** admission rejections (retried) *)
@@ -122,7 +119,6 @@ let load_results : load_row list ref = ref []
    failed + failed_transient)] read from the daemon after a full drain, so
    0 proves no worker swallowed a query. *)
 type chaos_row = {
-  c_engine : string;
   c_fault_seed : int;
   c_prob : float;  (** per-I/O-site injection probability of the cell *)
   c_spec : string;  (** the armed fault spec, [Fault.spec_to_string] form *)
@@ -219,10 +215,10 @@ let metrics = Storage.Metrics.create ()
 
 (* Order-independent answer digest: each tuple hashes to a 64-bit value
    (MD5 over its printed attribute values and the raw IEEE-754 bits of its
-   degree) and the tuple hashes are combined with addition, so two engines
-   producing the same multiset of answers — possibly in different tie
-   orders after their sorts — get the same checksum, and any flipped degree
-   bit changes it. *)
+   degree) and the tuple hashes are combined with addition, so two
+   evaluation paths producing the same multiset of answers — possibly in
+   different tie orders after their sorts — get the same checksum, and any
+   flipped degree bit changes it. *)
 let checksum_of_rows rows =
   let acc = ref 0L in
   List.iter
@@ -257,8 +253,6 @@ let answer_checksum rel =
         :: !rows);
   checksum_of_rows !rows
 
-let engines = [ "scalar"; "batch" ]
-
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter
@@ -282,24 +276,6 @@ let write_results path =
   let recoveries = List.rev !recovery_results in
   let rchaos = List.rev !rchaos_results in
   let failovers = List.rev !failover_results in
-  (* Every emitted row — measurement, load, chaos — must carry a valid
-     engine tag; regression tooling groups on it, so fail loudly here
-     rather than emit an untagged row. *)
-  List.iter
-    (fun r ->
-      if not (List.mem r.row_engine engines) then
-        invalid_arg ("write_results: bad engine tag " ^ r.row_engine))
-    rows;
-  List.iter
-    (fun l ->
-      if not (List.mem l.l_engine engines) then
-        invalid_arg ("write_results: bad engine tag " ^ l.l_engine))
-    loads;
-  List.iter
-    (fun c ->
-      if not (List.mem c.c_engine engines) then
-        invalid_arg ("write_results: bad engine tag " ^ c.c_engine))
-    chaos;
   let total =
     List.length rows + List.length loads + List.length chaos
     + List.length wals + List.length recoveries + List.length rchaos
@@ -315,36 +291,36 @@ let write_results path =
     (fun r ->
       Printf.fprintf oc
         "  {\"bench\": \"%s\", \"cell\": \"%s\", \"method\": \"%s\", \
-         \"engine\": \"%s\", \"domains\": %d, \"scale\": %d, \"wall_s\": \
-         %.6f, \"response_s\": %.6f, \"cpu_s\": %.6f, \"ios\": %d, \
+         \"domains\": %d, \"scale\": %d, \"wall_s\": %.6f, \"response_s\": \
+         %.6f, \"cpu_s\": %.6f, \"sort_s\": %.6f, \"ios\": %d, \
          \"fuzzy_ops\": %d, \"answer_size\": %d, \"checksum\": \"%s\", \
          \"io_overhead\": %.4f}%s\n"
         (json_escape r.row_bench) (json_escape r.row_cell)
-        (json_escape r.row_method) (json_escape r.row_engine) r.row_domains
-        r.row_scale r.row_wall_s r.row_response_s r.row_cpu_s r.row_ios
-        r.row_fuzzy_ops r.row_answer_size (json_escape r.row_checksum)
+        (json_escape r.row_method) r.row_domains r.row_scale r.row_wall_s
+        r.row_response_s r.row_cpu_s r.row_sort_s r.row_ios r.row_fuzzy_ops
+        r.row_answer_size (json_escape r.row_checksum)
         r.row_io_overhead (sep ()))
     rows;
   List.iter
     (fun l ->
       Printf.fprintf oc
-        "  {\"bench\": \"load\", \"engine\": \"%s\", \"clients\": %d, \
-         \"workers\": %d, \"domains\": %d, \"queries\": %d, \"wrong\": %d, \
-         \"overloaded\": %d, \"qps\": %.2f, \"p50_ms\": %.3f, \"p99_ms\": \
-         %.3f, \"duration_s\": %.3f}%s\n"
-        (json_escape l.l_engine) l.l_clients l.l_workers l.l_domains
+        "  {\"bench\": \"load\", \"clients\": %d, \"workers\": %d, \
+         \"domains\": %d, \"queries\": %d, \"wrong\": %d, \"overloaded\": \
+         %d, \"qps\": %.2f, \"p50_ms\": %.3f, \"p99_ms\": %.3f, \
+         \"duration_s\": %.3f}%s\n"
+        l.l_clients l.l_workers l.l_domains
         l.l_queries l.l_wrong l.l_overloaded l.l_qps l.l_p50_ms l.l_p99_ms
         l.l_duration_s (sep ()))
     loads;
   List.iter
     (fun c ->
       Printf.fprintf oc
-        "  {\"bench\": \"chaos\", \"engine\": \"%s\", \"fault_seed\": %d, \
+        "  {\"bench\": \"chaos\", \"fault_seed\": %d, \
          \"prob\": %g, \"spec\": \"%s\", \"ok\": %d, \"wrong\": %d, \"retryable\": %d, \"failed\": \
          %d, \"cancelled\": %d, \"overloaded\": %d, \"injected\": %d, \
          \"retries\": %d, \"respawns\": %d, \"breaker_opened\": %d, \
          \"shed\": %d, \"leaked_workers\": %d, \"duration_s\": %.3f}%s\n"
-        (json_escape c.c_engine) c.c_fault_seed c.c_prob (json_escape c.c_spec)
+        c.c_fault_seed c.c_prob (json_escape c.c_spec)
         c.c_ok c.c_wrong
         c.c_retryable c.c_failed c.c_cancelled c.c_overloaded c.c_injected
         c.c_retries c.c_respawns c.c_breaker_opened c.c_shed c.c_leaked
@@ -428,11 +404,9 @@ let run_cell ?(bench = "adhoc") ?(cell = "") ?trace cfg ~outer ~inner method_ =
         | Merge_join ->
             if cfg.domains > 1 then
               Storage.Task_pool.with_pool ~domains:cfg.domains (fun pool ->
-                  Unnest.Merge_exec.run ~pool ?trace ~batch:cfg.batch shape
+                  Unnest.Merge_exec.run ~pool ?trace shape
                     ~mem_pages:(mem_pages cfg))
-            else
-              Unnest.Merge_exec.run ?trace ~batch:cfg.batch shape
-                ~mem_pages:(mem_pages cfg))
+            else Unnest.Merge_exec.run ?trace shape ~mem_pages:(mem_pages cfg))
   in
   let wall = Unix.gettimeofday () -. wall_start in
   let cpu = Storage.Iostats.cpu_seconds stats in
@@ -461,15 +435,12 @@ let run_cell ?(bench = "adhoc") ?(cell = "") ?trace cfg ~outer ~inner method_ =
       row_bench = bench;
       row_cell = cell;
       row_method = method_name method_;
-      row_engine =
-        (match method_ with
-        | Merge_join when cfg.batch -> "batch"
-        | _ -> "scalar");
       row_domains = (match method_ with Merge_join -> cfg.domains | Nested_loop -> 1);
       row_scale = cfg.scale;
       row_wall_s = m.wall;
       row_response_s = m.response;
       row_cpu_s = m.cpu;
+      row_sort_s = m.sort_s;
       row_ios = m.ios;
       row_fuzzy_ops = m.fuzzy_ops;
       row_answer_size = m.answer_size;

@@ -2,21 +2,20 @@
     membership-function figures and an ablation study.
 
     Usage: [bench/main.exe [targets] [--full] [--scale N] [--io-latency S]
-    [--seed N] [--domains N] [--batch] [--clients L] [--queries N]
-    [--trace PATH]] where targets are any of [table1 table2 table3 table4
-    fig3 fig1 ablation chain sort scaling load chaos micro batch kernels
-    telemetry wal recovery failover all] (default: all); [recovery] and
-    [failover] fork, so they always run first. [wal] measures WAL
+    [--seed N] [--domains N] [--clients L] [--queries N] [--trace PATH]]
+    where targets are any of [table1 table2 table3 table4 fig3 fig1
+    ablation chain sort scaling load chaos micro decorated-sort telemetry
+    wal recovery failover all] (default: all); [recovery] and [failover]
+    fork, so they always run first. [wal] measures WAL
     commit throughput per sync mode and redo-restart time vs log length;
     [recovery] is the SIGKILL crash-recovery chaos harness (see
     {!Recovery_chaos}); [failover] is the HA chaos harness — SIGKILL the
     primary mid-load, promote the WAL-shipped replica, prove zero
     acked-commit loss, bit-identical committed prefixes, and epoch
-    fencing (see {!Failover_chaos}). [--batch] runs every merge-join cell on the
-    vectorized columnar engine (rows are tagged ["engine": "batch"] in
-    [BENCH_results.json]); the [batch] target measures that engine against
-    the scalar one head-to-head, and [kernels] times the three vectorized
-    inner loops standalone. [--trace PATH]
+    fencing (see {!Failover_chaos}). [decorated-sort] times the 16 MB
+    type J cell and, in the same process, the record-comparator sort of
+    its relations, checking that both sorts write the same records.
+    [--trace PATH]
     additionally runs the 3-block chain query under the span collector and
     writes a Chrome trace_event file to PATH (bare [--trace PATH] runs only
     that). The [load] target runs closed-loop clients against an in-process
@@ -303,6 +302,15 @@ let ablation cfg =
 (* External sort: load-sort vs replacement-selection run formation.    *)
 (* ------------------------------------------------------------------ *)
 
+(* The Definition 3.1 record comparator: both records are decoded on every
+   call. This is the generic sorter's view of the merge-join's sort. *)
+let interval_compare ~attr r1 r2 =
+  let support r =
+    Relational.Value.support
+      (Relational.Ftuple.value (Relational.Codec.decode r) attr)
+  in
+  Fuzzy.Interval.compare_lex (support r1) (support r2)
+
 let sort_bench cfg =
   section "Sort ablation - run formation under scarce memory";
   note "replacement selection (Knuth) forms ~2x longer runs on random input,@.";
@@ -315,12 +323,7 @@ let sort_bench cfg =
     (fun (label, strategy) ->
       let env = Storage.Env.create ~pool_pages:(mem_pages cfg) () in
       let rel = Workload.Gen.relation env ~seed:cfg.seed ~name:"R" spec in
-      let compare_records r1 r2 =
-        let v1 = Relational.Ftuple.value (Relational.Codec.decode r1) 1 in
-        let v2 = Relational.Ftuple.value (Relational.Codec.decode r2) 1 in
-        Fuzzy.Interval.compare_lex (Relational.Value.support v1)
-          (Relational.Value.support v2)
-      in
+      let compare_records = interval_compare ~attr:1 in
       let file = Relational.Relation.file rel in
       let runs =
         Storage.External_sort.initial_runs strategy file
@@ -405,7 +408,7 @@ let chain_bench cfg =
 let scaling cfg =
   section "Scaling - merge-join wall time vs --domains (Table 1 workload)";
   note "same query, same answer; the parallel engine range-partitions the@.";
-  note "sweep and sorts runs on separate domains (plus key decoration)@.@.";
+  note "sweep and forms sort runs on separate domains@.@.";
   let spec = spec_of ~paper_mb:8 ~tuple_bytes:128 ~fanout:7.0 cfg in
   let domain_counts =
     if cfg.domains > 1 then [ 1; cfg.domains ] else [ 1; 2; 4 ]
@@ -532,7 +535,7 @@ let load_bench cfg =
   in
   let max_clients = List.fold_left Int.max 1 !load_clients in
   let daemon =
-    Server.Daemon.start ~workers:cfg.domains ~batch:cfg.batch
+    Server.Daemon.start ~workers:cfg.domains
       ~queue_capacity:(max_clients + cfg.domains) ~setup ()
   in
   let port = Server.Daemon.port daemon in
@@ -606,7 +609,6 @@ let load_bench cfg =
           Harness.l_clients = c;
           l_workers = cfg.domains;
           l_domains = 1;
-          l_engine = (if cfg.batch then "batch" else "scalar");
           l_queries = queries;
           l_wrong = Atomic.get wrong;
           l_overloaded = Atomic.get overloaded;
@@ -706,61 +708,109 @@ let micro _cfg =
     results
 
 (* ------------------------------------------------------------------ *)
-(* Batch: the vectorized columnar executor against the scalar engine   *)
-(* on the Table 1 workload, sequential (domains = 1), best of three.   *)
-(* CI asserts the speedup and checksum equality from the JSON rows.    *)
+(* Decorated sort: the 16 MB type J cell (domains 1), and in the same   *)
+(* process the record-comparator sort of its R and S. CI asserts the   *)
+(* pinned checksum and the whole-cell gain from the JSON rows.         *)
 (* ------------------------------------------------------------------ *)
 
-let batch_bench cfg =
-  section "Batch - vectorized columnar executor vs scalar (Table 1 workload)";
-  note "same type J query, same data, domains 1; wall is the best of three@.";
-  note "reps; answers must be bit-identical (order-independent checksum in@.";
-  note "BENCH_results.json)@.@.";
+let decorated_sort_bench cfg =
+  section "Decorated sort - 16 MB type J cell vs the record-comparator sort";
+  note "same type J query, same data, domains 1, three reps; each rep is@.";
+  note "followed by External_sort.sort with the Definition 3.1 record@.";
+  note "comparator on the cell's R and S (the query has no local@.";
+  note "predicates, so these are the relations the merge-join sorts),@.";
+  note "checked record for record against Join_merge.sort_by.@.";
+  note "gain = (wall - sort + record sort) / wall@.@.";
   (* 16 MB per side: the extra external-merge pass makes the cell
-     sort-dominated like the paper's Table 1, which is exactly where the
-     decorated columnar sort pays off. *)
+     sort-dominated like the paper's Table 1. *)
   let spec = spec_of ~paper_mb:16 ~tuple_bytes:128 ~fanout:7.0 cfg in
-  let best_of engine batch =
+  let cfg = { cfg with domains = 1 } in
+  let pages = mem_pages cfg in
+  let x = 1 (* the join attribute R.X / S.X *) in
+  let record_sort () =
+    let env = Storage.Env.create ~pool_pages:pages () in
+    let r, s =
+      Workload.Gen.join_pair env ~seed:cfg.seed ~outer:spec ~inner:spec
+    in
+    let records file =
+      let acc = ref [] in
+      Storage.Heap_file.iter file (fun b -> acc := b :: !acc);
+      !acc
+    in
     List.fold_left
-      (fun best rep ->
-        let m =
-          run_cell ~bench:"batch"
-            ~cell:(Printf.sprintf "%s-rep%d" engine rep)
-            { cfg with domains = 1; batch }
-            ~outer:spec ~inner:spec Merge_join
+      (fun total rel ->
+        let file = Relational.Relation.file rel in
+        Storage.Buffer_pool.flush (Storage.Heap_file.pool file);
+        let t0 = Unix.gettimeofday () in
+        let sorted =
+          Storage.External_sort.sort file ~compare:(interval_compare ~attr:x)
+            ~mem_pages:pages
         in
-        match best with Some b when b.wall <= m.wall -> Some b | _ -> Some m)
-      None [ 1; 2; 3 ]
-    |> Option.get
+        let dt = Unix.gettimeofday () -. t0 in
+        let decorated =
+          Relational.Join_merge.sort_by rel ~attr:x ~mem_pages:pages
+        in
+        if records sorted <> records (Relational.Relation.file decorated) then
+          failwith "decorated-sort bench: the two sorts wrote different files";
+        Storage.Heap_file.destroy sorted;
+        Relational.Relation.destroy decorated;
+        total +. dt)
+      0.0 [ r; s ]
   in
-  Format.printf "%-8s | %12s | %9s | %9s | %10s | %12s | %10s@." "engine"
-    "wall (s)" "sort (s)" "merge (s)" "#IOs" "fuzzy ops" "answers";
-  hr Format.std_formatter 84;
-  let show engine m =
-    Format.printf "%-8s | %12s | %9s | %9s | %10d | %12d | %10d@." engine
-      (str_seconds m.wall) (str_seconds m.sort_s) (str_seconds m.merge_s)
-      m.ios m.fuzzy_ops m.answer_size
+  Format.printf "%-6s | %9s | %9s | %9s | %12s | %6s@." "rep" "wall (s)"
+    "sort (s)" "merge (s)" "record sort" "gain";
+  hr Format.std_formatter 66;
+  let gains =
+    List.map
+      (fun rep ->
+        let m =
+          run_cell ~bench:"decorated-sort"
+            ~cell:(Printf.sprintf "rep%d" rep)
+            cfg ~outer:spec ~inner:spec Merge_join
+        in
+        let ref_s = record_sort () in
+        results :=
+          {
+            row_bench = "decorated-sort";
+            row_cell = Printf.sprintf "record-sort-rep%d" rep;
+            row_method = "record-sort";
+            row_domains = 1;
+            row_scale = cfg.scale;
+            row_wall_s = ref_s;
+            row_response_s = ref_s;
+            row_cpu_s = ref_s;
+            row_sort_s = ref_s;
+            row_ios = 0;
+            row_fuzzy_ops = 0;
+            row_answer_size = 0;
+            row_checksum = "";
+            row_io_overhead = 1.0;
+          }
+          :: !results;
+        let gain = (m.wall -. m.sort_s +. ref_s) /. Float.max 1e-9 m.wall in
+        Format.printf "%-6d | %9s | %9s | %9s | %12s | %5.2fx@." rep
+          (str_seconds m.wall) (str_seconds m.sort_s) (str_seconds m.merge_s)
+          (str_seconds ref_s) gain;
+        gain)
+      [ 1; 2; 3 ]
   in
-  let s = best_of "scalar" false in
-  show "scalar" s;
-  let b = best_of "batch" true in
-  show "batch" b;
   let checksums =
-    List.filter_map
-      (fun r -> if r.row_bench = "batch" then Some r.row_checksum else None)
-      !results
+    List.sort_uniq compare
+      (List.filter_map
+         (fun r ->
+           if r.row_bench = "decorated-sort" && r.row_method <> "record-sort"
+           then Some r.row_checksum
+           else None)
+         !results)
   in
-  let identical =
-    match checksums with [] -> false | c :: cs -> List.for_all (( = ) c) cs
-  in
-  note "@.speedup (scalar wall / batch wall): %.2fx; checksums %s@."
-    (s.wall /. Float.max 1e-9 b.wall)
-    (if identical then "identical across all reps and engines"
-     else "DIFFER - the engines disagree");
-  if not identical then failwith "batch bench: engine checksums differ"
+  note "@.best gain %.2fx; checksum %s@."
+    (List.fold_left Float.max 0.0 gains)
+    (String.concat " / " checksums);
+  if List.length checksums <> 1 then
+    failwith "decorated-sort bench: checksums differ across reps"
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry overhead: the batch Table-1 cell served by an in-process  *)
+(* Telemetry overhead: the 16 MB Table-1 cell served by an in-process  *)
 (* fsqld, telemetry fully off vs fully on (metrics port + query log;   *)
 (* windowed metrics and the trace ring are always on). CI asserts the  *)
 (* on/off wall ratio <= 1.05 and checksum equality from the JSON rows. *)
@@ -772,8 +822,8 @@ let contains_sub s sub =
   go 0
 
 let telemetry_bench cfg =
-  section "Telemetry overhead - batch cell through fsqld, off vs on";
-  note "same 16MB-side type J cell as the batch bench, served by a@.";
+  section "Telemetry overhead - 16 MB cell through fsqld, off vs on";
+  note "same 16MB-side type J cell as the decorated-sort bench, served by a@.";
   note "1-worker daemon; 'on' adds --metrics-port + --query-log (windowed@.";
   note "metrics and the trace ring run in both). Wall is the best of 5@.";
   note "client-observed reps; answers must be bit-identical@.@.";
@@ -791,8 +841,7 @@ let telemetry_bench cfg =
       if on then Some (Filename.temp_file "fsqld_qlog" ".jsonl") else None
     in
     let daemon =
-      Server.Daemon.start ~workers:1 ~domains:1 ~batch:true
-        ~mem_pages:(mem_pages cfg)
+      Server.Daemon.start ~workers:1 ~domains:1 ~mem_pages:(mem_pages cfg)
         ?metrics_port:(if on then Some 0 else None)
         ?query_log:qlog ~setup ()
     in
@@ -852,12 +901,12 @@ let telemetry_bench cfg =
         row_bench = "telemetry";
         row_cell = (if on then "on" else "off");
         row_method = "daemon";
-        row_engine = "batch";
         row_domains = 1;
         row_scale = cfg.scale;
         row_wall_s = !best;
         row_response_s = !best;
         row_cpu_s = 0.0;
+        row_sort_s = 0.0;
         row_ios = 0;
         row_fuzzy_ops = 0;
         row_answer_size = 0;
@@ -880,143 +929,6 @@ let telemetry_bench cfg =
     failwith "telemetry bench: answers differ with telemetry on"
 
 (* ------------------------------------------------------------------ *)
-(* Kernels: the three batch inner loops standalone, scalar vs          *)
-(* vectorized, in rows (elements) per second.                          *)
-(* ------------------------------------------------------------------ *)
-
-let kernels cfg =
-  section "Kernels - scalar vs vectorized inner loops (rows/sec)";
-  note "the three loops the batch executor vectorizes: trapezoid@.";
-  note "membership over a column, min/max degree combination, and the@.";
-  note "merge-join window sweep over sorted runs@.@.";
-  let rng = Random.State.make [| cfg.seed; 97 |] in
-  let n = 200_000 in
-  let record cell engine rows secs =
-    results :=
-      {
-        row_bench = "kernels";
-        row_cell = cell;
-        row_method = "kernel";
-        row_engine = engine;
-        row_domains = 1;
-        row_scale = cfg.scale;
-        row_wall_s = secs;
-        row_response_s = secs;
-        row_cpu_s = secs;
-        row_ios = 0;
-        row_fuzzy_ops = rows;
-        row_answer_size = rows;
-        row_checksum = "";
-        row_io_overhead = 1.0;
-      }
-      :: !results;
-    Format.printf "  %-24s %-8s %12.2f M rows/s@." cell engine
-      (float_of_int rows /. Float.max 1e-9 secs /. 1e6)
-  in
-  (* best of five: the minimum is the standard estimator of the undisturbed
-     run, and these loops are short enough for scheduler noise to dominate
-     a single measurement *)
-  let time f =
-    List.fold_left
-      (fun best _ ->
-        let t0 = Unix.gettimeofday () in
-        f ();
-        Float.min best (Unix.gettimeofday () -. t0))
-      infinity [ 1; 2; 3; 4; 5 ]
-  in
-  (* 1. trapezoid membership over a column *)
-  let tr = Workload.Gen.random_trapezoid rng ~lo:0.0 ~hi:1000.0 in
-  let xs = Array.init n (fun _ -> Random.State.float rng 1000.0) in
-  let dst = Array.make n 0.0 in
-  let reps = 20 in
-  let s =
-    time (fun () ->
-        for _ = 1 to reps do
-          for i = 0 to n - 1 do
-            dst.(i) <- Fuzzy.Trapezoid.mem tr xs.(i)
-          done
-        done)
-  in
-  record "membership" "scalar" (reps * n) s;
-  let b =
-    time (fun () ->
-        for _ = 1 to reps do
-          Relational.Batch_kernels.mem_into tr ~xs ~n ~dst
-        done)
-  in
-  record "membership" "batch" (reps * n) b;
-  (* 2. min/max t-norm / co-norm passes *)
-  let src = Array.init n (fun _ -> Random.State.float rng 1.0) in
-  let acc = Array.init n (fun _ -> Random.State.float rng 1.0) in
-  let acc0 = Array.copy acc in
-  let sink = ref 0.0 in
-  let s =
-    time (fun () ->
-        for _ = 1 to reps do
-          Array.blit acc0 0 acc 0 n;
-          for i = 0 to n - 1 do
-            acc.(i) <- Fuzzy.Degree.conj acc.(i) src.(i)
-          done;
-          let m = ref 0.0 in
-          for i = 0 to n - 1 do
-            m := Fuzzy.Degree.disj !m acc.(i)
-          done;
-          sink := !m
-        done)
-  in
-  record "tnorm-pass" "scalar" (reps * n) s;
-  let b =
-    time (fun () ->
-        for _ = 1 to reps do
-          Array.blit acc0 0 acc 0 n;
-          Relational.Batch_kernels.conj_into ~src ~dst:acc ~n;
-          sink := Relational.Batch_kernels.disj_reduce ~xs:acc ~n
-        done)
-  in
-  record "tnorm-pass" "batch" (reps * n) b;
-  ignore !sink;
-  (* 3. the window sweep over ⪯-sorted runs (includes batch decode) *)
-  let env = Storage.Env.create ~pool_pages:(mem_pages cfg) () in
-  let spec = spec_of ~paper_mb:2 ~tuple_bytes:128 ~fanout:7.0 cfg in
-  let r, s_rel =
-    Workload.Gen.join_pair env ~seed:cfg.seed ~outer:spec ~inner:spec
-  in
-  let sorted_r =
-    Relational.Join_merge.sort_by r ~attr:1 ~mem_pages:(mem_pages cfg)
-  in
-  let sorted_s =
-    Relational.Join_merge.sort_by s_rel ~attr:1 ~mem_pages:(mem_pages cfg)
-  in
-  let pairs = ref 0 in
-  let sweep batch =
-    (* the batch side consumes the window through the vectorized emitter,
-       like the IN / NOT IN handlers do; the scalar side walks rng lists *)
-    let f_batch =
-      if batch then
-        Some
-          (fun _ _ ~inner:_ ~idx:_ ~n ~d_eq:_ -> pairs := !pairs + n)
-      else None
-    in
-    time (fun () ->
-        pairs := 0;
-        Relational.Join_merge.sweep_sorted ~batch ?f_batch ~outer:sorted_r
-          ~inner:sorted_s ~outer_attr:1 ~inner_attr:1
-          ~mem_pages:(mem_pages cfg)
-          ~f:(fun _ rng -> pairs := !pairs + List.length rng)
-          ())
-  in
-  let rows = Relational.Relation.cardinality sorted_r in
-  let s = sweep false in
-  record "window-sweep" "scalar" rows s;
-  let scalar_pairs = !pairs in
-  let b = sweep true in
-  record "window-sweep" "batch" rows b;
-  if !pairs <> scalar_pairs then
-    failwith "kernels: sweep pair counts differ between engines";
-  note "@.(window sweep examined %d pairs per engine over %d outer rows)@."
-    scalar_pairs rows
-
-(* ------------------------------------------------------------------ *)
 
 let all_targets =
   [
@@ -1024,7 +936,7 @@ let all_targets =
     ("table4", table4); ("fig3", fig3); ("fig1", fig1); ("ablation", ablation);
     ("chain", chain_bench); ("sort", sort_bench); ("scaling", scaling);
     ("load", load_bench); ("chaos", Chaos.run); ("micro", micro);
-    ("batch", batch_bench); ("kernels", kernels);
+    ("decorated-sort", decorated_sort_bench);
     ("telemetry", telemetry_bench); ("wal", Wal_bench.run);
     ("recovery", Recovery_chaos.run);
     ("failover", Failover_chaos.run);
@@ -1050,9 +962,6 @@ let () =
         parse rest
     | "--seed" :: n :: rest ->
         cfg := { !cfg with seed = int_of_string n };
-        parse rest
-    | "--batch" :: rest ->
-        cfg := { !cfg with batch = true };
         parse rest
     | "--domains" :: n :: rest -> (
         match int_of_string_opt n with
@@ -1112,9 +1021,8 @@ let () =
   in
   Format.printf
     "Nested Fuzzy SQL reproduction - Section 9 experiments (scale 1/%d, \
-     io_latency %gms, buffer %d pages, domains %d, engine %s)@."
-    !cfg.scale (!cfg.io_latency *. 1000.0) (mem_pages !cfg) !cfg.domains
-    (if !cfg.batch then "batch" else "scalar");
+     io_latency %gms, buffer %d pages, domains %d)@."
+    !cfg.scale (!cfg.io_latency *. 1000.0) (mem_pages !cfg) !cfg.domains;
   List.iter (fun t -> (List.assoc t all_targets) !cfg) chosen;
   Option.iter (trace_run !cfg) !trace_path;
   write_results "BENCH_results.json";

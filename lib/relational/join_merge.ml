@@ -1,47 +1,21 @@
 open Storage
 open Fuzzy
 
-let interval_key ~attr r = Value.support (Ftuple.value (Codec.decode r) attr)
-
-let sort_by ?pool ?trace ?cancel ?(batch = false) rel ~attr ~mem_pages =
+let sort_by ?pool ?trace ?cancel rel ~attr ~mem_pages =
   let env = Relation.env rel in
   Buffer_pool.flush (Heap_file.pool (Relation.file rel));
   let name = "sort " ^ Schema.name (Relation.schema rel) in
   Trace.with_span trace ~stats:env.Env.stats ~pool:env.Env.pool name
     (fun () ->
-      (* Cancellation rides the comparator: the external sorter calls it
-         O(n log n) times spread across run formation and every merge pass,
-         so a long spilling sort unwinds within a poll period of the deadline
-         without the sorter itself knowing about tokens. *)
+      (* Decorated sort: the support is decoded once per record per phase
+         into unboxed floats instead of twice per comparison. *)
+      let key r =
+        let i = Value.support (Ftuple.value (Codec.decode r) attr) in
+        (Interval.lo i, Interval.hi i)
+      in
       let sorted =
-        match pool with
-        | Some p when Task_pool.domains p > 1 ->
-            let compare_key a b =
-              Cancel.check cancel;
-              Interval.compare_lex a b
-            in
-            External_sort.sort_keyed ~pool:p ?trace (Relation.file rel)
-              ~key:(interval_key ~attr) ~compare_key ~mem_pages
-        | _ when batch ->
-            (* Columnar decorated sort: the key is decoded once per record
-               per phase into unboxed float columns instead of twice per
-               comparison; cancellation is polled per batch inside the
-               sorter. *)
-            let key r =
-              let i = interval_key ~attr r in
-              (Interval.lo i, Interval.hi i)
-            in
-            External_sort.sort_support ?trace ?cancel (Relation.file rel)
-              ~key ~mem_pages
-        | _ ->
-            let compare_records r1 r2 =
-              Cancel.check cancel;
-              let v1 = Ftuple.value (Codec.decode r1) attr
-              and v2 = Ftuple.value (Codec.decode r2) attr in
-              Interval.compare_lex (Value.support v1) (Value.support v2)
-            in
-            External_sort.sort ?trace (Relation.file rel)
-              ~compare:compare_records ~mem_pages
+        External_sort.sort_support ?pool ?trace ?cancel (Relation.file rel)
+          ~key ~mem_pages
       in
       let out =
         Relation.of_file ?pad_to:(Relation.pad_to rel) env
@@ -108,111 +82,6 @@ let sweep_core ?cancel ~stats ~next_outer ~peek_inner ~advance_inner
   in
   next_r ()
 
-(* The columnar window sweep: bit-identical to [sweep_core] — same window
-   membership, same comparison / fuzzy-op accounting (bulk-charged per
-   outer tuple), same per-pair degree arithmetic (the trapezoid fast path
-   of [Batch_kernels.cmp_at] replicates the boxed float operations exactly;
-   string / discrete operands fall back to [Value.compare_degree]) — but
-   runs over unboxed support and parameter columns. The window is a
-   selection vector of inner row indices reused across outer tuples, and
-   cancellation is polled once per [Batch.batch_rows] outer rows instead of
-   per tuple; with [?trace] each such chunk records a [batch] child span
-   carrying its row count. [emit r_i ~idx ~n ~d_eq] is called once per
-   outer row with the window indices [idx.(0 .. n-1)] (in the scalar
-   window's insertion order) and their equality degrees; the arrays are
-   reused, so handlers must not retain them. *)
-let sweep_batch ?cancel ?trace ~stats ~outer_b ~inner_b ~outer_attr
-    ~inner_attr ~emit () =
-  let n_out = Batch.length outer_b and n_in = Batch.length inner_b in
-  let ocol = Batch.col outer_b outer_attr
-  and icol = Batch.col inner_b inner_attr in
-  let o_lo = ocol.Batch.lo and o_hi = ocol.Batch.hi in
-  let i_lo = icol.Batch.lo and i_hi = icol.Batch.hi in
-  let cap = ref (Int.max 16 (Int.min 1024 (Int.max 1 n_in))) in
-  let win = ref (Array.make !cap 0) in
-  let deq = ref (Array.make !cap 0.0) in
-  let win_n = ref 0 in
-  let next_inner = ref 0 in
-  let ensure n =
-    if n > !cap then begin
-      let cap' = Int.max n (2 * !cap) in
-      let w = Array.make cap' 0 in
-      Array.blit !win 0 w 0 !win_n;
-      win := w;
-      deq := Array.make cap' 0.0;
-      cap := cap'
-    end
-  in
-  let chunk_start = ref 0 in
-  while !chunk_start < n_out do
-    Cancel.check cancel;
-    let chunk_end = Int.min n_out (!chunk_start + Batch.batch_rows) in
-    Trace.with_span trace ~stats "batch" (fun () ->
-        for i = !chunk_start to chunk_end - 1 do
-          let b_r = Array.unsafe_get o_lo i
-          and e_r = Array.unsafe_get o_hi i in
-          (* 1. Evict window members ending before b(r.X); one comparison
-             is charged per member, like the scalar filter. *)
-          let w = !win in
-          let wn = !win_n in
-          let k = ref 0 in
-          for j = 0 to wn - 1 do
-            let s = Array.unsafe_get w j in
-            if Array.unsafe_get i_hi s >= b_r then begin
-              Array.unsafe_set w !k s;
-              incr k
-            end
-          done;
-          Iostats.record_comparisons stats wn;
-          win_n := !k;
-          (* 2. Extend while the next inner row begins no later than
-             e(r.X); the terminating peek charges one comparison, matching
-             the scalar extend loop. *)
-          let continue = ref true in
-          while !continue && !next_inner < n_in do
-            Iostats.record_comparison stats;
-            let s = !next_inner in
-            if Array.unsafe_get i_lo s <= e_r then begin
-              if Array.unsafe_get i_hi s >= b_r then begin
-                ensure (!win_n + 1);
-                !win.(!win_n) <- s;
-                incr win_n
-              end;
-              incr next_inner
-            end
-            else continue := false
-          done;
-          (* 3. Per-pair equality degree over the window: one comparison
-             per member, one fuzzy op per overlapping pair. *)
-          let w = !win and dq = !deq in
-          let wn = !win_n in
-          let r_ok = Batch.ok ocol i in
-          let fuzz = ref 0 in
-          for j = 0 to wn - 1 do
-            let s = Array.unsafe_get w j in
-            if
-              b_r <= Array.unsafe_get i_hi s
-              && Array.unsafe_get i_lo s <= e_r
-            then begin
-              incr fuzz;
-              Array.unsafe_set dq j
-                (if r_ok && Batch.ok icol s then
-                   Batch_kernels.cmp_at Fuzzy_compare.Eq ocol i icol s
-                 else
-                   Value.compare_degree Fuzzy_compare.Eq
-                     (Ftuple.value (Batch.row outer_b i) outer_attr)
-                     (Ftuple.value (Batch.row inner_b s) inner_attr))
-            end
-            else Array.unsafe_set dq j 0.0
-          done;
-          Iostats.record_comparisons stats wn;
-          Iostats.record_fuzzy_ops stats !fuzz;
-          emit i ~idx:w ~n:wn ~d_eq:dq
-        done;
-        Trace.set_rows trace (chunk_end - !chunk_start));
-    chunk_start := chunk_end
-  done
-
 (* Cut the outer tuples into [domains] contiguous slices of the sorted order
    and pair each with the inner tuples that can reach it: s can join some r
    of a slice only if lo(s) <= max hi(r) and hi(s) >= min lo(r) over the
@@ -261,16 +130,7 @@ let scan_decoded ?cancel rel ~pool ~attr =
   go ();
   Array.of_list (List.rev !acc)
 
-(* Bridge a [sweep_batch] emission to the scalar [f r rng] callback: the
-   window's selection vector materialises as the same insertion-ordered
-   [rng] list the scalar sweep builds. *)
-let emit_to_f ~outer_b ~inner_b ~f i ~idx ~n ~d_eq =
-  let rec build j =
-    if j >= n then [] else (Batch.row inner_b idx.(j), d_eq.(j)) :: build (j + 1)
-  in
-  f (Batch.row outer_b i) (build 0)
-
-let sweep_sorted ?pool ?trace ?cancel ?(batch = false) ?f_batch ~outer ~inner
+let sweep_sorted ?pool ?trace ?cancel ~outer ~inner
     ~outer_attr ~inner_attr ~mem_pages ~f () =
   let env = Relation.env outer in
   let stats = env.Env.stats in
@@ -329,72 +189,32 @@ let sweep_sorted ?pool ?trace ?cancel ?(batch = false) ?f_batch ~outer ~inner
                 Trace.with_span jtrace ~stats:pstats "sweep" (fun () ->
                     let results = ref [] in
                     let collect r rng = results := (r, rng) :: !results in
-                    (if batch then begin
-                       (* Columnar partition sweep: each job builds one
-                          batch per slice and bridges emissions to the same
-                          (r, rng) lists as the scalar jobs, so the
-                          coordinator's [f] pass is engine-independent. *)
-                       let ob = Batch.of_rows (Array.map fst o_slice) in
-                       let ib = Batch.of_rows (Array.map fst i_slice) in
-                       sweep_batch ?cancel ?trace:jtrace ~stats:pstats
-                         ~outer_b:ob ~inner_b:ib ~outer_attr ~inner_attr
-                         ~emit:
-                           (emit_to_f ~outer_b:ob ~inner_b:ib ~f:collect)
-                         ()
-                     end
-                     else
-                       let oi = ref 0 and ii = ref 0 in
-                       sweep_core ?cancel ~stats:pstats
-                         ~next_outer:(fun () ->
-                           if !oi < Array.length o_slice then begin
-                             let t = fst o_slice.(!oi) in
-                             incr oi;
-                             Some t
-                           end
-                           else None)
-                         ~peek_inner:(fun () ->
-                           if !ii < Array.length i_slice then
-                             Some (fst i_slice.(!ii))
-                           else None)
-                         ~advance_inner:(fun () -> incr ii)
-                         ~outer_attr ~inner_attr ~f:collect ());
+                    let oi = ref 0 and ii = ref 0 in
+                    sweep_core ?cancel ~stats:pstats
+                      ~next_outer:(fun () ->
+                        if !oi < Array.length o_slice then begin
+                          let t = fst o_slice.(!oi) in
+                          incr oi;
+                          Some t
+                        end
+                        else None)
+                      ~peek_inner:(fun () ->
+                        if !ii < Array.length i_slice then
+                          Some (fst i_slice.(!ii))
+                        else None)
+                      ~advance_inner:(fun () -> incr ii)
+                      ~outer_attr ~inner_attr ~f:collect ();
                     Trace.set_rows jtrace (Array.length o_slice);
                     (List.rev !results, pstats)))
               (Array.to_list parts)
           in
-          let batches = Task_pool.run_list_traced ?trace ~label:"sweep" p jobs in
+          let swept = Task_pool.run_list_traced ?trace ~label:"sweep" p jobs in
           Trace.with_span trace ~stats "emit" (fun () ->
               List.iter
                 (fun (results, pstats) ->
                   Iostats.add_into stats pstats;
                   List.iter (fun (r, rng) -> f r rng) results)
-                batches)
-      | _ when batch ->
-          (* Sequential columnar sweep: both sorted inputs are decoded once
-             into batches (columns extracted lazily per attribute), then the
-             window runs over unboxed support columns. Handlers with a
-             vectorized form supply [f_batch]; others get the scalar [f]
-             through the bridging emitter. *)
-          let scan which rel spool =
-            Trace.with_span trace ~stats ~pool:spool ("scan " ^ which)
-              (fun () ->
-                let b = Batch.of_relation ?cancel ~pool:spool rel in
-                Trace.set_rows trace (Batch.length b);
-                b)
-          in
-          let outer_b = scan "outer" outer outer_pool in
-          let inner_b = scan "inner" inner inner_pool in
-          Trace.with_span trace ~stats "sweep" (fun () ->
-              let emit =
-                match f_batch with
-                | Some fb ->
-                    fun i ~idx ~n ~d_eq ->
-                      fb outer_b i ~inner:inner_b ~idx ~n ~d_eq
-                | None -> emit_to_f ~outer_b ~inner_b ~f
-              in
-              sweep_batch ?cancel ?trace ~stats ~outer_b ~inner_b ~outer_attr
-                ~inner_attr ~emit ();
-              Trace.set_rows trace (Batch.length outer_b))
+                swept)
       | _ ->
           Trace.with_span trace ~stats ~pool:outer_pool "sweep" (fun () ->
               let rc = Relation.Cursor.of_relation ~pool:outer_pool outer in
@@ -405,8 +225,8 @@ let sweep_sorted ?pool ?trace ?cancel ?(batch = false) ?f_batch ~outer ~inner
                 ~advance_inner:(fun () -> ignore (Relation.Cursor.next sc))
                 ~outer_attr ~inner_attr ~f ()))
 
-let join_with_rng ?name ?pool ?trace ?cancel ?(batch = false) ?project ~outer
-    ~inner ~outer_attr ~inner_attr ~mem_pages ?residual ~rng_degree () =
+let join_with_rng ?name ?pool ?trace ?cancel ?project ~outer ~inner
+    ~outer_attr ~inner_attr ~mem_pages ?residual ~rng_degree () =
   let env = Relation.env outer in
   let joined_schema =
     Schema.concat
@@ -452,13 +272,11 @@ let join_with_rng ?name ?pool ?trace ?cancel ?(batch = false) ?project ~outer
         ~finally:(fun () -> List.iter Relation.destroy !temps)
         (fun () ->
           let sorted_r =
-            sort_by ?pool ?trace ?cancel ~batch outer ~attr:outer_attr
-              ~mem_pages
+            sort_by ?pool ?trace ?cancel outer ~attr:outer_attr ~mem_pages
           in
           temps := sorted_r :: !temps;
           let sorted_s =
-            sort_by ?pool ?trace ?cancel ~batch inner ~attr:inner_attr
-              ~mem_pages
+            sort_by ?pool ?trace ?cancel inner ~attr:inner_attr ~mem_pages
           in
           temps := sorted_s :: !temps;
           let pair r s d_eq =
@@ -474,27 +292,19 @@ let join_with_rng ?name ?pool ?trace ?cancel ?(batch = false) ?project ~outer
               if Degree.positive d then emit r s d
             end
           in
-          (* Batch fast path: same per-pair evaluation, but straight off the
-             window's selection vector — no [rng] list is built. *)
-          let f_batch ob i ~inner:ib ~idx ~n ~d_eq =
-            let r = Batch.row ob i in
-            for j = 0 to n - 1 do
-              pair r (Batch.row ib idx.(j)) d_eq.(j)
-            done
-          in
-          sweep_sorted ?pool ?trace ?cancel ~batch ~f_batch ~outer:sorted_r
+          sweep_sorted ?pool ?trace ?cancel ~outer:sorted_r
             ~inner:sorted_s ~outer_attr ~inner_attr ~mem_pages ()
             ~f:(fun r rng -> List.iter (fun (s, d_eq) -> pair r s d_eq) rng));
       Algebra.dedup_iter !kept (Relation.insert out);
       Trace.set_rows trace (Relation.cardinality out);
       out)
 
-let join_eq ?name ?pool ?trace ?cancel ?batch ?project ~outer ~inner
+let join_eq ?name ?pool ?trace ?cancel ?project ~outer ~inner
     ~outer_attr ~inner_attr ~mem_pages ?residual () =
-  join_with_rng ?name ?pool ?trace ?cancel ?batch ?project ~outer ~inner
+  join_with_rng ?name ?pool ?trace ?cancel ?project ~outer ~inner
     ~outer_attr ~inner_attr ~mem_pages ?residual ~rng_degree:(fun _ _ d -> d) ()
 
-let with_indicator ?name ?pool ?trace ?cancel ?batch ~outer ~inner ~outer_attr
+let with_indicator ?name ?pool ?trace ?cancel ~outer ~inner ~outer_attr
     ~inner_attr ~mem_pages ?residual () =
   let indicator r s d_exact =
     (* Fuzzy-equality indicator (Zhang & Wang [42]): overlapping cores mean
@@ -515,5 +325,5 @@ let with_indicator ?name ?pool ?trace ?cancel ?batch ~outer ~inner ~outer_attr
         else d_exact
     | _ -> d_exact
   in
-  join_with_rng ?name ?pool ?trace ?cancel ?batch ~outer ~inner ~outer_attr
+  join_with_rng ?name ?pool ?trace ?cancel ~outer ~inner ~outer_attr
     ~inner_attr ~mem_pages ?residual ~rng_degree:indicator ()

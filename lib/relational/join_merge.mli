@@ -14,46 +14,32 @@
 
     Every entry point takes an optional [?pool]. With no pool — or a pool of
     one domain — execution is exactly the sequential algorithm above. With
-    [Task_pool.domains pool > 1], sorting uses the domain-parallel
-    {!Storage.External_sort.sort_keyed} and the sweep is range-partitioned
-    across domains (see {!partition_sweep}); answer tuples and membership
-    degrees are identical either way.
+    [Task_pool.domains pool > 1], the sort forms its runs on the domains
+    (see {!Storage.External_sort.sort_support}) and the sweep is
+    range-partitioned across domains (see {!partition_sweep}); answer
+    tuples and membership degrees are identical either way.
 
     Every entry point also takes an optional [?cancel] token
-    ({!Storage.Cancel}): the sort comparators and the per-outer-tuple sweep
-    loop poll it, so a deadline or client cancellation unwinds with
-    {!Storage.Cancel.Cancelled} within one poll period. The sorted
+    ({!Storage.Cancel}): the sorter's per-record scan and merge loops and
+    the per-outer-tuple sweep loop poll it, so a deadline or client
+    cancellation unwinds with {!Storage.Cancel.Cancelled} within one poll
+    period. The sorted
     temporaries of {!join_eq}/{!with_indicator} are destroyed on that path
     too. [None] costs one branch per poll site. *)
 
 val sort_by :
   ?pool:Storage.Task_pool.t -> ?trace:Storage.Trace.t ->
-  ?cancel:Storage.Cancel.t -> ?batch:bool ->
+  ?cancel:Storage.Cancel.t ->
   Relation.t -> attr:int -> mem_pages:int -> Relation.t
 (** Sort a relation by the Definition 3.1 order of the given attribute using
     the external sorter (accounted to the [Sort] phase). The result is a
     temporary relation owned by the caller. With [?trace], a
-    ["sort <relation>"] span wraps the sorter's own spans. With
-    [~batch:true] (and no multi-domain pool, which already decorates) the
-    sequential columnar {!Storage.External_sort.sort_support} is used: keys
-    are decoded once per record into float columns instead of twice per
-    comparison; the key order is identical, only equal-key ties may land in
-    a different order. *)
-
-val sweep_batch :
-  ?cancel:Storage.Cancel.t -> ?trace:Storage.Trace.t ->
-  stats:Storage.Iostats.t -> outer_b:Batch.t -> inner_b:Batch.t ->
-  outer_attr:int -> inner_attr:int ->
-  emit:(int -> idx:int array -> n:int -> d_eq:float array -> unit) ->
-  unit -> unit
-(** The columnar window sweep over ⪯-sorted batches: bit-identical window
-    membership, comparison / fuzzy-op accounting and per-pair degrees to
-    the scalar sweep, with the window kept as a reused selection vector of
-    inner row indices. [emit r_i ~idx ~n ~d_eq] fires once per outer row;
-    the arrays are reused across rows and must not be retained.
-    Cancellation is polled once per {!Batch.batch_rows} outer rows; with
-    [?trace] each such chunk records a [batch] child span. Exposed for the
-    kernel micro-bench and the bit-identity tests. *)
+    ["sort <relation>"] span wraps the sorter's own spans. The sorter is
+    the decorated {!Storage.External_sort.sort_support}: each support is
+    decoded once per record per phase instead of twice per comparison.
+    Without a multi-domain pool the sorted file is byte-identical to
+    {!Storage.External_sort.sort} with the Definition 3.1 record
+    comparator, after the same comparisons. *)
 
 val partition_sweep :
   domains:int ->
@@ -71,10 +57,7 @@ val partition_sweep :
 
 val sweep_sorted :
   ?pool:Storage.Task_pool.t -> ?trace:Storage.Trace.t ->
-  ?cancel:Storage.Cancel.t -> ?batch:bool ->
-  ?f_batch:
-    (Batch.t -> int -> inner:Batch.t -> idx:int array -> n:int ->
-     d_eq:float array -> unit) ->
+  ?cancel:Storage.Cancel.t ->
   outer:Relation.t -> inner:Relation.t -> outer_attr:int -> inner_attr:int ->
   mem_pages:int ->
   f:(Ftuple.t -> (Ftuple.t * Fuzzy.Degree.t) list -> unit) -> unit -> unit
@@ -89,20 +72,11 @@ val sweep_sorted :
     caller's domain in global outer sort order. With [?trace], the
     sequential path records one [sweep] span; the parallel path records
     [scan outer]/[scan inner] spans, one [sweep-k]/[sweep] span per
-    partition on its own lane, and an [emit] span for the callback pass.
-
-    With [~batch:true] the sweep runs columnar ({!sweep_batch}) over
-    batches decoded once per input — identical answers, degrees and
-    operation counts. A handler with a vectorized form can supply
-    [?f_batch], called with the window's selection vector instead of an
-    [rng] list (sequential path only; the parallel path always bridges
-    partition results to [f] on the coordinator). Without [?f_batch] the
-    scalar [f] receives the same insertion-ordered [rng] lists either
-    way. *)
+    partition on its own lane, and an [emit] span for the callback pass. *)
 
 val join_eq :
   ?name:string -> ?pool:Storage.Task_pool.t -> ?trace:Storage.Trace.t ->
-  ?cancel:Storage.Cancel.t -> ?batch:bool -> ?project:int list ->
+  ?cancel:Storage.Cancel.t -> ?project:int list ->
   outer:Relation.t -> inner:Relation.t -> outer_attr:int ->
   inner_attr:int -> mem_pages:int ->
   ?residual:(Ftuple.t -> Ftuple.t -> Fuzzy.Degree.t) -> unit -> Relation.t
@@ -118,7 +92,7 @@ val join_eq :
 
 val with_indicator :
   ?name:string -> ?pool:Storage.Task_pool.t -> ?trace:Storage.Trace.t ->
-  ?cancel:Storage.Cancel.t -> ?batch:bool ->
+  ?cancel:Storage.Cancel.t ->
   outer:Relation.t -> inner:Relation.t -> outer_attr:int ->
   inner_attr:int -> mem_pages:int ->
   ?residual:(Ftuple.t -> Ftuple.t -> Fuzzy.Degree.t) -> unit -> Relation.t

@@ -9,7 +9,7 @@
       requests, keyed by request ID, fetchable over the wire
       ([Wire.Trace_get] / [fsql \trace ID]);
     - {b query log} ({!Query_log}): one JSONL record per finished request
-      — id, normalized SQL shape, engine, queue wait, exec time, I/O and
+      — id, normalized SQL shape, queue wait, exec time, I/O and
       fuzzy-op counts, retries, outcome — with size rotation and a
       slow-query threshold;
     - {b Prometheus exposition} ({!render_prometheus}) over the metrics
@@ -70,7 +70,6 @@ module Query_log : sig
     ts : float;  (** completion time, [Unix.gettimeofday] *)
     request_id : string;
     shape : string;  (** {!normalize_sql} of the statement *)
-    engine : string;  (** ["scalar"] or ["batch"] *)
     queue_wait_s : float;
     exec_s : float;
     page_reads : int;

@@ -63,36 +63,47 @@ let write_run env records =
     Heap_file.destroy run;
     raise e
 
-let make_runs ?cancel env input ~compare ~mem_pages =
-  let stats = env.Env.stats in
-  let budget = mem_pages * Env.page_size env in
-  let counted a b =
-    Iostats.record_comparison stats;
-    compare a b
-  in
-  let runs = ref [] in
-  let batch = ref [] in
-  let batch_bytes = ref 0 in
-  let flush () =
-    if !batch <> [] then begin
-      let arr = Array.of_list (List.rev !batch) in
-      Array.sort counted arr;
-      runs := write_run env arr :: !runs;
-      batch := [];
-      batch_bytes := 0
+(* Chop the input scan into slices of at least [bytes] bytes (record
+   bytes plus the 2-byte slot entry) and hand each slice to [f]. *)
+let iter_slices ?cancel input ~bytes f =
+  let cur = ref [] and cur_bytes = ref 0 in
+  let cut () =
+    if !cur <> [] then begin
+      let slice = Array.of_list (List.rev !cur) in
+      cur := [];
+      cur_bytes := 0;
+      f slice
     end
   in
+  Heap_file.iter input (fun r ->
+      Cancel.check cancel;
+      cur := r :: !cur;
+      cur_bytes := !cur_bytes + Bytes.length r + 2;
+      if !cur_bytes >= bytes then cut ());
+  cut ()
+
+(* Sequential run formation: [write_slice] sorts one slice and writes it as
+   a run. Runs already written are destroyed if the scan or a write
+   raises. *)
+let form_runs ?cancel input ~bytes write_slice =
+  let runs = ref [] in
   try
-    Heap_file.iter input (fun r ->
-        Cancel.check cancel;
-        batch := r :: !batch;
-        batch_bytes := !batch_bytes + Bytes.length r + 2;
-        if !batch_bytes >= budget then flush ());
-    flush ();
+    iter_slices ?cancel input ~bytes (fun slice ->
+        runs := write_slice slice :: !runs);
     List.rev !runs
   with e ->
     List.iter Heap_file.destroy !runs;
     raise e
+
+let make_runs ?cancel env input ~compare ~mem_pages =
+  let stats = env.Env.stats in
+  let counted a b =
+    Iostats.record_comparison stats;
+    compare a b
+  in
+  form_runs ?cancel input ~bytes:(mem_pages * Env.page_size env) (fun arr ->
+      Array.sort counted arr;
+      write_run env arr)
 
 (* Replacement selection: keep a heap of records; pop the smallest that is
    >= the last record written to the current run; records smaller than the
@@ -182,32 +193,31 @@ let initial_runs ?cancel strategy input ~compare ~mem_pages =
   | Replacement_selection ->
       make_runs_replacement ?cancel env input ~compare ~mem_pages
 
-(* On exception the freshly-created output file is destroyed but the input
-   runs are left alive: the caller owns them and cleans them up (see the
-   [live] tracking in [sort]). On success the input runs are destroyed. *)
-let merge_runs ?cancel env runs ~compare =
-  let stats = env.Env.stats in
+(* The one k-way heap merge: each cursor head is decorated with [key]
+   once per record pulled, and the heap compares decorations only. On
+   exception the freshly-created output file is destroyed but the input
+   runs are left alive: the caller owns them and cleans them up (see
+   [merge_passes]). On success the input runs are destroyed. Comparisons
+   are charged to [stats], the sort's own record. *)
+let merge_keyed ?cancel ~stats ~key ~le env runs =
   let out = Heap_file.create env in
   try
-    let le (r1, _) (r2, _) =
-      Iostats.record_comparison stats;
-      compare r1 r2 <= 0
+    let heap =
+      Heap.create (fun (k1, _, _) (k2, _, _) ->
+          Iostats.record_comparison stats;
+          le k1 k2)
     in
-    let heap = Heap.create le in
-    List.iter
-      (fun run ->
-        let c = Heap_file.Cursor.of_file run in
-        match Heap_file.Cursor.next c with
-        | Some r -> Heap.push heap (r, c)
-        | None -> ())
-      runs;
+    let push_head c =
+      match Heap_file.Cursor.next c with
+      | Some r -> Heap.push heap (key r, r, c)
+      | None -> ()
+    in
+    List.iter (fun run -> push_head (Heap_file.Cursor.of_file run)) runs;
     while not (Heap.is_empty heap) do
       Cancel.check cancel;
-      let r, c = Heap.pop heap in
+      let _, r, c = Heap.pop heap in
       Heap_file.append out r;
-      match Heap_file.Cursor.next c with
-      | Some r' -> Heap.push heap (r', c)
-      | None -> ()
+      push_head c
     done;
     List.iter Heap_file.destroy runs;
     out
@@ -215,330 +225,192 @@ let merge_runs ?cancel env runs ~compare =
     Heap_file.destroy out;
     raise e
 
-(* ------------------------------------------------------------------ *)
-(* Domain-parallel sort.
+let merge_runs ?cancel env runs ~compare =
+  merge_keyed ?cancel ~stats:env.Env.stats ~key:Fun.id
+    ~le:(fun a b -> compare a b <= 0)
+    env runs
 
-   Run formation is the CPU-heavy half of the external sort (the record
-   comparator decodes tuples), so it is the part handed to the domain pool:
-   the coordinator chops the input scan into slices of [budget / domains]
-   bytes and each job sorts one slice and writes it as a run into a
-   domain-private environment — its own simulated disk, buffer pool and
-   stats record — so no storage structure is shared between domains. The
-   parallel engine also decorates: the sort key is decoded once per record
-   per phase instead of twice per comparison, which is what makes
-   [--domains N] pay off even on machines with few cores. Runs are then
-   combined by the same k-way heap merge as the sequential sort (multi-pass
-   when the fan-in is exceeded), reading each run through its private pool;
-   the final pass writes into the caller's environment. Private stats are
-   merged into the shared record with [Iostats.add_into] after the
-   coordinator has joined the batch, so counter totals are exact; worker
-   page transfers land in the [Other] phase bucket (only the coordinator
-   runs inside [Iostats.timed], keeping the response-time model
-   wall-clock-shaped). *)
-
-let sort_keyed ~pool ?trace ?cancel input ~key ~compare_key ~mem_pages =
-  if mem_pages < 3 then invalid_arg "External_sort.sort_keyed: mem_pages < 3";
-  let env = Heap_file.env input in
-  let stats = env.Env.stats in
-  let page_size = Env.page_size env in
-  Iostats.timed stats Iostats.Sort (fun () ->
-      let budget = mem_pages * page_size in
-      let p = Task_pool.domains pool in
-      let total_bytes = Int.max 1 (Heap_file.num_pages input * page_size) in
-      let slice_budget = Int.max page_size (Int.min budget total_bytes / p) in
-      (* Chop the input scan into slices; the scan itself stays on the
-         coordinator (the shared buffer pool is not domain-safe). *)
-      let batches = ref [] and cur = ref [] and cur_bytes = ref 0 in
-      let cut () =
-        if !cur <> [] then begin
-          batches := Array.of_list (List.rev !cur) :: !batches;
-          cur := [];
-          cur_bytes := 0
-        end
-      in
-      Heap_file.iter input (fun r ->
-          Cancel.check cancel;
-          cur := r :: !cur;
-          cur_bytes := !cur_bytes + Bytes.length r + 2;
-          if !cur_bytes >= slice_budget then cut ());
-      cut ();
-      let jobs =
-        List.rev_map
-          (fun batch jtrace ->
-            let penv =
-              Env.create ~page_size
-                ~pool_pages:(Int.max 1 (mem_pages / p))
-                ()
-            in
-            let pstats = penv.Env.stats in
-            (* Phase-tag the private record: the run-writing I/O below must
-               count as [Sort] in the merged totals, not [Other]. *)
-            Iostats.set_phase pstats (Some Iostats.Sort);
-            Trace.with_span jtrace ~stats:pstats "run-formation" (fun () ->
-                let keyed = Array.map (fun r -> (key r, r)) batch in
-                Array.sort
-                  (fun (k1, _) (k2, _) ->
-                    Iostats.record_comparison pstats;
-                    compare_key k1 k2)
-                  keyed;
-                let run = Heap_file.create penv in
-                Array.iter (fun (_, r) -> Heap_file.append run r) keyed;
-                Buffer_pool.flush penv.Env.pool;
-                Trace.set_rows jtrace (Array.length batch);
-                (run, penv)))
-          !batches
-      in
-      let runs_envs = Task_pool.run_list_traced ?trace ~label:"sort" pool jobs in
-      (* Fold the run-formation I/O into the shared record now and reset the
-         private records (re-tagging their phase): what accumulates on them
-         afterwards is exactly the merge phase's run reads, so the final
-         merge below — and the k-way-merge trace span around it — charges
-         the merge's cross-environment I/O accurately. Totals are identical
-         to a single end-of-sort merge. *)
-      List.iter
-        (fun (_, pe) ->
-          Iostats.add_into stats pe.Env.stats;
-          Iostats.reset pe.Env.stats;
-          Iostats.set_phase pe.Env.stats (Some Iostats.Sort))
-        runs_envs;
-      let private_envs = ref (List.map snd runs_envs) in
-      (* Decorated k-way merge: the head key is decoded once per record
-         pulled, and heap comparisons compare keys only. *)
-      let merge_keyed out_env runs =
-        (* Destroy the partial output on abort so no pages leak into
-           [out_env] — which on the final pass is the caller's shared
-           environment (intermediate runs live in private environments
-           that are discarded wholesale). *)
-        let out = Heap_file.create out_env in
-        try
-          let le (k1, _, _) (k2, _, _) =
-            Iostats.record_comparison stats;
-            compare_key k1 k2 <= 0
-          in
-          let heap = Heap.create le in
-          List.iter
-            (fun run ->
-              let c = Heap_file.Cursor.of_file run in
-              match Heap_file.Cursor.next c with
-              | Some r -> Heap.push heap (key r, r, c)
-              | None -> ())
-            runs;
-          while not (Heap.is_empty heap) do
-            Cancel.check cancel;
-            let _, r, c = Heap.pop heap in
-            Heap_file.append out r;
-            match Heap_file.Cursor.next c with
-            | Some r' -> Heap.push heap (key r', r', c)
-            | None -> ()
-          done;
-          List.iter Heap_file.destroy runs;
-          out
-        with e ->
-          Heap_file.destroy out;
-          raise e
-      in
-      let fan_in = mem_pages - 1 in
-      (* Intermediate passes write to a scratch private environment; only
-         the final pass writes into the caller's (shared) environment, so
-         the returned file's pages always live on the shared disk. *)
-      let rec merge_all runs =
-        if List.length runs <= fan_in then merge_keyed env runs
-        else begin
-          let scratch =
-            Env.create ~page_size ~pool_pages:(Int.max 1 (mem_pages / 2)) ()
-          in
-          (* Intermediate merge passes write through the scratch record:
-             that I/O is sort work too. *)
-          Iostats.set_phase scratch.Env.stats (Some Iostats.Sort);
-          private_envs := scratch :: !private_envs;
-          let rec take k acc = function
-            | rest when k = 0 -> (List.rev acc, rest)
-            | [] -> (List.rev acc, [])
-            | r :: rest -> take (k - 1) (r :: acc) rest
-          in
-          let rec pass acc = function
-            | [] -> List.rev acc
-            | runs ->
-                let group, rest = take fan_in [] runs in
-                pass (merge_keyed scratch group :: acc) rest
-          in
-          merge_all (pass [] runs)
-        end
-      in
-      Trace.with_span trace ~stats "k-way-merge" (fun () ->
-          let out = merge_all (List.map fst runs_envs) in
-          List.iter
-            (fun pe -> Iostats.add_into stats pe.Env.stats)
-            !private_envs;
-          out))
-
-(* ------------------------------------------------------------------ *)
-(* Sequential columnar decorated sort (the batch engine's sort path).
-
-   The sequential [sort] decodes both records on every comparison — the
-   dominant cost of the merge-join pipeline. Here run formation decodes
-   each record's sort key exactly once into two unboxed float columns
-   (support lo / hi) and sorts an index permutation over them, so the
-   comparator touches no bytes at all; the k-way merge decorates each
-   cursor head the same way. Cancellation is polled once per batch of
-   records rather than per comparison. The record multiset and key order
-   are identical to [sort] with the corresponding record comparator; only
-   ties may land in a different order (exactly like [sort_keyed]). *)
-
-let batch_poll = 1024
-
-let sort_support ?trace ?cancel input ~key ~mem_pages =
-  if mem_pages < 3 then invalid_arg "External_sort.sort_support: mem_pages < 3";
-  let env = Heap_file.env input in
-  let stats = env.Env.stats in
-  Iostats.timed stats Iostats.Sort (fun () ->
-      let budget = mem_pages * Env.page_size env in
-      (* Runs not yet consumed by a merge pass, destroyed on abort like
-         [sort]'s. *)
-      let live = ref [] in
-      let untrack f = live := List.filter (fun g -> g != f) !live in
-      try
-        let make_runs () =
-          let runs = ref [] in
-          let batch = ref [] and batch_bytes = ref 0 and seen = ref 0 in
-          let flush () =
-            if !batch <> [] then begin
-              let arr = Array.of_list (List.rev !batch) in
-              let n = Array.length arr in
-              let klo = Array.make n 0.0 and khi = Array.make n 0.0 in
-              for i = 0 to n - 1 do
-                let lo, hi = key arr.(i) in
-                klo.(i) <- lo;
-                khi.(i) <- hi
-              done;
-              let idx = Array.init n (fun i -> i) in
-              Array.sort
-                (fun i j ->
-                  Iostats.record_comparison stats;
-                  let c = Float.compare klo.(i) klo.(j) in
-                  if c <> 0 then c else Float.compare khi.(i) khi.(j))
-                idx;
-              let run = write_run env (Array.map (fun i -> arr.(i)) idx) in
-              runs := run :: !runs;
-              live := run :: !live;
-              batch := [];
-              batch_bytes := 0
-            end
-          in
-          Heap_file.iter input (fun r ->
-              if !seen land (batch_poll - 1) = 0 then Cancel.check cancel;
-              incr seen;
-              batch := r :: !batch;
-              batch_bytes := !batch_bytes + Bytes.length r + 2;
-              if !batch_bytes >= budget then flush ());
-          flush ();
-          List.rev !runs
-        in
-        let merge_group group =
-          let out = Heap_file.create env in
-          try
-            let le (l1, h1, _, _) (l2, h2, _, _) =
-              Iostats.record_comparison stats;
-              let c = Float.compare l1 l2 in
-              (if c <> 0 then c else Float.compare h1 h2) <= 0
-            in
-            let heap = Heap.create le in
-            let push_head c =
-              match Heap_file.Cursor.next c with
-              | Some r ->
-                  let lo, hi = key r in
-                  Heap.push heap (lo, hi, r, c)
-              | None -> ()
-            in
-            List.iter (fun run -> push_head (Heap_file.Cursor.of_file run)) group;
-            let popped = ref 0 in
-            while not (Heap.is_empty heap) do
-              if !popped land (batch_poll - 1) = 0 then Cancel.check cancel;
-              incr popped;
-              let _, _, r, c = Heap.pop heap in
-              Heap_file.append out r;
-              push_head c
-            done;
-            List.iter Heap_file.destroy group;
-            out
-          with e ->
-            Heap_file.destroy out;
-            raise e
-        in
-        let fan_in = mem_pages - 1 in
-        let rec merge_all = function
-          | [] -> Heap_file.create env
-          | [ only ] ->
-              untrack only;
-              only
+(* The multi-pass merge shared by both sorters: merge groups of up
+   to [fan_in] runs, pass after pass, until one file remains in [env].
+   Intermediate passes write into [pass_env env] ([env] itself by default);
+   a lone run already in [env] is returned as is. Every run not yet
+   consumed by a pass is destroyed if a pass raises, so an aborted sort
+   frees its temporary pages. *)
+let merge_passes ?(pass_env = Fun.id) ~fan_in ~merge env runs =
+  let live = ref runs in
+  let consumed group =
+    live := List.filter (fun f -> not (List.memq f group)) !live
+  in
+  let rec take k acc = function
+    | rest when k = 0 -> (List.rev acc, rest)
+    | [] -> (List.rev acc, [])
+    | r :: rest -> take (k - 1) (r :: acc) rest
+  in
+  let rec go = function
+    | [ only ] when Heap_file.env only == env -> only
+    | runs when List.length runs <= fan_in -> merge env runs
+    | runs ->
+        let penv = pass_env env in
+        let rec pass acc = function
+          | [] -> List.rev acc
           | runs ->
-              let rec take k acc = function
-                | rest when k = 0 -> (List.rev acc, rest)
-                | [] -> (List.rev acc, [])
-                | r :: rest -> take (k - 1) (r :: acc) rest
-              in
-              let rec pass acc = function
-                | [] -> List.rev acc
-                | runs ->
-                    let group, rest = take fan_in [] runs in
-                    let out = merge_group group in
-                    List.iter untrack group;
-                    live := out :: !live;
-                    pass (out :: acc) rest
-              in
-              merge_all (pass [] runs)
+              let group, rest = take fan_in [] runs in
+              let out = merge penv group in
+              consumed group;
+              live := out :: !live;
+              pass (out :: acc) rest
         in
-        let runs =
-          Trace.with_span trace ~stats ~pool:env.Env.pool "run-formation"
-            (fun () -> make_runs ())
-        in
-        Trace.with_span trace ~stats ~pool:env.Env.pool "k-way-merge" (fun () ->
-            merge_all runs)
-      with e ->
-        List.iter Heap_file.destroy !live;
-        raise e)
+        go (pass [] runs)
+  in
+  try go runs
+  with e ->
+    List.iter Heap_file.destroy !live;
+    raise e
 
 let sort ?(run_strategy = Load_sort) ?trace ?cancel input ~compare ~mem_pages =
   if mem_pages < 3 then invalid_arg "External_sort.sort: mem_pages < 3";
   let env = Heap_file.env input in
   let stats = env.Env.stats in
   Iostats.timed stats Iostats.Sort (fun () ->
-      (* Runs not yet consumed by a merge pass; destroyed if the sort is
-         aborted by an exception or a cancelled token, so no temp pages
-         leak (the builders clean their own partial output). *)
-      let live = ref [] in
-      let untrack f = live := List.filter (fun g -> g != f) !live in
-      try
-        let fan_in = mem_pages - 1 in
-        let rec merge_all = function
-          | [] -> Heap_file.create env
-          | [ only ] ->
-              untrack only;
-              only
-          | runs ->
-              let rec take k acc = function
-                | rest when k = 0 -> (List.rev acc, rest)
-                | [] -> (List.rev acc, [])
-                | r :: rest -> take (k - 1) (r :: acc) rest
-              in
-              let rec pass acc = function
-                | [] -> List.rev acc
-                | runs ->
-                    let group, rest = take fan_in [] runs in
-                    let out = merge_runs ?cancel env group ~compare in
-                    List.iter untrack group;
-                    live := out :: !live;
-                    pass (out :: acc) rest
-              in
-              merge_all (pass [] runs)
+      let runs =
+        Trace.with_span trace ~stats ~pool:env.Env.pool "run-formation"
+          (fun () ->
+            initial_runs ?cancel run_strategy input ~compare ~mem_pages)
+      in
+      Trace.with_span trace ~stats ~pool:env.Env.pool "k-way-merge" (fun () ->
+          merge_passes ~fan_in:(mem_pages - 1)
+            ~merge:(fun out_env group ->
+              merge_runs ?cancel out_env group ~compare)
+            env runs))
+
+(* ------------------------------------------------------------------ *)
+(* The decorated sort.
+
+   The record sorter above decodes both records on every comparison — the
+   dominant cost of the merge-join pipeline. Here run formation decodes
+   each record's [(lo, hi)] key exactly once into two unboxed float
+   columns and sorts an index permutation over them, so the comparator
+   touches no bytes at all; the k-way merge decorates each cursor head the
+   same way. The comparator's outcomes are those of the record comparator
+   on the same records, so at one domain the sort performs the same
+   comparisons and swaps and writes a byte-identical file.
+
+   With a multi-domain pool, run formation is the part handed to the
+   domains: the coordinator chops the input scan into slices of
+   [budget / domains] bytes and each job sorts one slice and writes it as
+   a run into a domain-private environment — its own simulated disk,
+   buffer pool and stats record — so no storage structure is shared
+   between domains. The runs are then combined by the same multi-pass merge,
+   reading each run through its private pool; intermediate passes write to
+   fresh private environments and the final pass writes into the
+   caller's. Private stats are merged into the shared record with
+   [Iostats.add_into] after the coordinator has joined the batch, so
+   counter totals are exact; worker page transfers land in the [Sort]
+   phase bucket but not in the coordinator's [Iostats.timed] clock,
+   keeping the response-time model wall-clock-shaped. *)
+
+let le_pair (l1, h1) (l2, h2) =
+  let c = Float.compare l1 l2 in
+  (if c <> 0 then c else Float.compare h1 h2) <= 0
+
+let write_decorated_run ~stats ~key env records =
+  let n = Array.length records in
+  let klo = Array.make n 0.0 and khi = Array.make n 0.0 in
+  Array.iteri
+    (fun i r ->
+      let lo, hi = key r in
+      klo.(i) <- lo;
+      khi.(i) <- hi)
+    records;
+  let idx = Array.init n Fun.id in
+  Array.sort
+    (fun i j ->
+      Iostats.record_comparison stats;
+      let c = Float.compare klo.(i) klo.(j) in
+      if c <> 0 then c else Float.compare khi.(i) khi.(j))
+    idx;
+  write_run env (Array.map (fun i -> records.(i)) idx)
+
+(* Parallel run formation: the scan stays on the coordinator (the shared
+   buffer pool is not domain-safe); each pool job sorts one slice into a
+   run on its own private environment. The jobs' I/O is folded into
+   [stats] once the batch joins, and their records are reset, so what
+   accumulates on them afterwards is exactly the merge's run reads. *)
+let parallel_runs ~pool ?trace ?cancel ~stats ~key input ~mem_pages =
+  let page_size = Env.page_size (Heap_file.env input) in
+  let p = Task_pool.domains pool in
+  let total_bytes = Int.max 1 (Heap_file.num_pages input * page_size) in
+  let slice_bytes =
+    Int.max page_size (Int.min (mem_pages * page_size) total_bytes / p)
+  in
+  let slices = ref [] in
+  iter_slices ?cancel input ~bytes:slice_bytes (fun slice ->
+      slices := slice :: !slices);
+  let jobs =
+    List.rev_map
+      (fun slice jtrace ->
+        let penv =
+          Env.create ~page_size ~pool_pages:(Int.max 1 (mem_pages / p)) ()
         in
-        let runs =
-          Trace.with_span trace ~stats ~pool:env.Env.pool "run-formation"
-            (fun () -> initial_runs ?cancel run_strategy input ~compare ~mem_pages)
-        in
-        live := runs;
-        Trace.with_span trace ~stats ~pool:env.Env.pool "k-way-merge" (fun () ->
-            merge_all runs)
-      with e ->
-        List.iter Heap_file.destroy !live;
-        raise e)
+        let pstats = penv.Env.stats in
+        (* Phase-tag the private record: the run-writing I/O must count as
+           [Sort] in the merged totals, not [Other]. *)
+        Iostats.set_phase pstats (Some Iostats.Sort);
+        Trace.with_span jtrace ~stats:pstats "run-formation" (fun () ->
+            Cancel.check cancel;
+            let run = write_decorated_run ~stats:pstats ~key penv slice in
+            Buffer_pool.flush penv.Env.pool;
+            Trace.set_rows jtrace (Array.length slice);
+            run))
+      !slices
+  in
+  let runs = Task_pool.run_list_traced ?trace ~label:"sort" pool jobs in
+  List.iter
+    (fun run ->
+      let ps = (Heap_file.env run).Env.stats in
+      Iostats.add_into stats ps;
+      Iostats.reset ps;
+      Iostats.set_phase ps (Some Iostats.Sort))
+    runs;
+  runs
+
+let sort_support ?pool ?trace ?cancel input ~key ~mem_pages =
+  if mem_pages < 3 then invalid_arg "External_sort.sort_support: mem_pages < 3";
+  let env = Heap_file.env input in
+  let stats = env.Env.stats in
+  let fan_in = mem_pages - 1 in
+  let merge = merge_keyed ?cancel ~stats ~key ~le:le_pair in
+  Iostats.timed stats Iostats.Sort (fun () ->
+      match pool with
+      | Some pool when Task_pool.domains pool > 1 ->
+          let runs =
+            parallel_runs ~pool ?trace ?cancel ~stats ~key input ~mem_pages
+          in
+          let private_envs = ref (List.map Heap_file.env runs) in
+          let pass_env env =
+            let s =
+              Env.create ~page_size:(Env.page_size env)
+                ~pool_pages:(Int.max 1 (mem_pages / 2))
+                ()
+            in
+            (* Intermediate merge passes write through this private
+               record: that I/O is sort work too. *)
+            Iostats.set_phase s.Env.stats (Some Iostats.Sort);
+            private_envs := s :: !private_envs;
+            s
+          in
+          Trace.with_span trace ~stats "k-way-merge" (fun () ->
+              let out = merge_passes ~pass_env ~fan_in ~merge env runs in
+              List.iter
+                (fun pe -> Iostats.add_into stats pe.Env.stats)
+                !private_envs;
+              out)
+      | _ ->
+          let runs =
+            Trace.with_span trace ~stats ~pool:env.Env.pool "run-formation"
+              (fun () ->
+                form_runs ?cancel input ~bytes:(mem_pages * Env.page_size env)
+                  (write_decorated_run ~stats ~key env))
+          in
+          Trace.with_span trace ~stats ~pool:env.Env.pool "k-way-merge"
+            (fun () -> merge_passes ~fan_in ~merge env runs))

@@ -32,25 +32,6 @@ val sort :
     freed back to the disk before the exception propagates, so
     [Sim_disk.live_pages] returns to its pre-sort baseline. *)
 
-val sort_keyed :
-  pool:Task_pool.t -> ?trace:Trace.t -> ?cancel:Cancel.t -> Heap_file.t ->
-  key:(bytes -> 'k) -> compare_key:('k -> 'k -> int) -> mem_pages:int ->
-  Heap_file.t
-(** Domain-parallel variant: the input scan is chopped into slices of
-    [mem_pages * page_size / domains] bytes and each pool job sorts one
-    slice with a private buffer pool (and private stats, merged into the
-    input environment's record once the batch joins), then the k-way heap
-    merge combines the runs on the coordinator. The sort key is decoded
-    once per record per phase ([key]), and only keys are compared
-    ([compare_key]) — the decoration that, together with the domain
-    parallelism, makes this path faster than {!sort}. The returned file
-    lives in the input's environment, like {!sort}; the record multiset and
-    key order are identical to {!sort} with the corresponding record
-    comparator (the order of records with equal keys may differ). With
-    [?trace], each pool job records a [sort-i]/[run-formation] span on its
-    own lane (carrying the job's private I/O deltas, phase-tagged [Sort])
-    and the coordinator records the [k-way-merge] span. *)
-
 val initial_runs :
   ?cancel:Cancel.t -> run_strategy -> Heap_file.t ->
   compare:(bytes -> bytes -> int) -> mem_pages:int -> Heap_file.t list
@@ -68,16 +49,29 @@ val merge_runs :
     caller to clean up. *)
 
 val sort_support :
-  ?trace:Trace.t -> ?cancel:Cancel.t -> Heap_file.t ->
+  ?pool:Task_pool.t -> ?trace:Trace.t -> ?cancel:Cancel.t -> Heap_file.t ->
   key:(bytes -> float * float) -> mem_pages:int -> Heap_file.t
-(** Sequential columnar decorated sort, the batch engine's counterpart of
-    {!sort}: run formation decodes each record's [(support lo, support hi)]
-    key exactly once into unboxed float columns and sorts an index
-    permutation over them (runs are produced directly from the columns), so
-    the comparator never touches record bytes; the k-way merge decorates
-    cursor heads the same way and compares floats lexicographically. The
-    record multiset and key order are identical to {!sort} with the
-    corresponding record comparator — only equal-key ties may land in a
-    different order, like {!sort_keyed}. Cancellation is polled once per
-    batch of records (1024) rather than per comparison; abort safety and
-    trace spans ([run-formation], [k-way-merge]) as for {!sort}. *)
+(** The decorated sort, by the lexicographic order of [key] — the
+    merge-join's interval sort. Run formation decodes each record's
+    [(lo, hi)] key exactly once into unboxed float columns and sorts an
+    index permutation over them (runs are written directly from the
+    columns), so the comparator never touches record bytes; the k-way
+    merge decorates cursor heads the same way. The comparator's outcomes
+    are those of the corresponding record comparator, so without a
+    multi-domain pool the result is byte-identical to {!sort} with that
+    comparator, after the same number of comparisons and the same page
+    I/O. Abort safety, cancellation polling and trace spans
+    ([run-formation], [k-way-merge]) as for {!sort}.
+
+    With [Task_pool.domains pool > 1], run formation runs on the domains:
+    the input scan is chopped into slices of
+    [mem_pages * page_size / domains] bytes and each pool job sorts one
+    slice into a run on a private environment (private buffer pool and
+    stats, merged into the input environment's record once the batch
+    joins); the coordinator then merges the runs into the input's
+    environment. The record multiset and key order are those of the
+    sequential sort; only records with equal keys may land in a different
+    order. With [?trace], each pool job records a [sort-i]/[run-formation]
+    span on its own lane (carrying the job's private I/O deltas,
+    phase-tagged [Sort]) and the coordinator records the [k-way-merge]
+    span. *)

@@ -66,8 +66,6 @@ let record_write t =
   charge_phase_io t
 let record_fuzzy_op t = t.fuzzy <- t.fuzzy + 1
 let record_comparison t = t.compares <- t.compares + 1
-let record_fuzzy_ops t n = t.fuzzy <- t.fuzzy + n
-let record_comparisons t n = t.compares <- t.compares + n
 let page_reads t = t.reads
 let page_writes t = t.writes
 let total_ios t = t.reads + t.writes

@@ -23,12 +23,6 @@ val record_fuzzy_op : t -> unit
 val record_comparison : t -> unit
 (** One tuple comparison during sort/merge/join. *)
 
-val record_fuzzy_ops : t -> int -> unit
-val record_comparisons : t -> int -> unit
-(** Bulk variants used by the batch kernels: one call charges a whole
-    column pass, so the counters stay comparable with the scalar engine
-    without a field increment inside the hot loop. *)
-
 val page_reads : t -> int
 val page_writes : t -> int
 val total_ios : t -> int

@@ -137,7 +137,7 @@ let is_constant_inner = function
   | Classify.Agg_link _ | Classify.Quant_link _ ->
       false
 
-let run ?(name = "answer") ?pool ?trace ?cancel ?(batch = false)
+let run ?(name = "answer") ?pool ?trace ?cancel
     (shape : Classify.two_level) ~mem_pages : Relation.t =
   let { Classify.select; outer; inner; p1; p2; link; threshold } = shape in
   let env = Relation.env outer in
@@ -180,10 +180,11 @@ let run ?(name = "answer") ?pool ?trace ?cancel ?(batch = false)
         Trace.set_rows trace (Relation.cardinality deduped);
         deduped)
   in
-  (* Reductions and sorted temporaries are destroyed through [temps] so a
-     cancellation raised anywhere in the pipeline (reduce, sort, sweep)
-     still frees them — a server worker's environment outlives the query. *)
-  let temps = ref [] in
+  (* The pre-dedup answer, reductions and sorted temporaries are destroyed
+     through [temps] so a cancellation raised anywhere in the pipeline
+     (reduce, sort, sweep) still frees them — a server worker's environment
+     outlives the query. *)
+  let temps = ref [ out ] in
   Fun.protect ~finally:(fun () -> List.iter Relation.destroy !temps)
   @@ fun () ->
   let outer', outer_owned = traced_reduce "outer" outer p1 ~prune in
@@ -351,88 +352,16 @@ let run ?(name = "answer") ?pool ?trace ?cancel ?(batch = false)
                     project_insert out select r
                       (Degree.conj (Ftuple.degree r) d_link) ))
   in
-  (* Vectorized batch handlers for the IN / NOT IN sweeps: the same max of
-     min(mu_s, d_eq, d_corr) as the scalar closures (same branch on
-     positive d_eq, same fuzzy-op counts), evaluated straight off the
-     window's selection vector with the correlation residuals going through
-     the trapezoid kernels where both operands are columnar. The remaining
-     link types bridge to their scalar closures through the emitter. *)
-  let in_batch ~negated corr =
-    (* The correlation columns depend only on the batches, which stay the
-       same across every outer row of a sweep: extract them once per batch
-       pair instead of once per window pair. *)
-    let cached = ref None in
-    fun ob i ~inner:ib ~idx ~n ~d_eq ->
-      let cols =
-        match !cached with
-        | Some (ob', ib', cols) when ob' == ob && ib' == ib -> cols
-        | _ ->
-            let cols =
-              List.map
-                (fun (c : Classify.corr) ->
-                  (c, Batch.col ib c.Classify.local_attr,
-                   Batch.col ob c.Classify.outer_attr))
-                corr
-            in
-            cached := Some (ob, ib, cols);
-            cols
-      in
-      let r = Batch.row ob i in
-      let deg = Batch.degrees ib in
-      (* [Degree.conj]/[disj] are Float.min/max; inlining them keeps the
-         exact operation sequence (and bits) of the scalar fold while
-         cutting two call layers per window pair. The fuzzy-op counter is
-         charged in bulk after the loop — same total as the scalar path. *)
-      let m = ref Degree.zero in
-      let fz = ref 0 in
-      for j = 0 to n - 1 do
-        let dq = Array.unsafe_get d_eq j in
-        if negated || dq > 0.0 then begin
-          let s_i = Array.unsafe_get idx j in
-          let d =
-            ref (Float.min (Float.min Degree.one (Array.unsafe_get deg s_i)) dq)
-          in
-          List.iter
-            (fun ((c : Classify.corr), u, v) ->
-              incr fz;
-              let dd =
-                if Batch.ok u s_i && Batch.ok v i then
-                  Batch_kernels.cmp_at c.Classify.op u s_i v i
-                else
-                  Value.compare_degree c.Classify.op
-                    (Ftuple.value (Batch.row ib s_i) c.Classify.local_attr)
-                    (Ftuple.value r c.Classify.outer_attr)
-              in
-              d := Float.min !d dd)
-            cols;
-          m := Float.max !m !d
-        end
-      done;
-      if !fz > 0 then Storage.Iostats.record_fuzzy_ops stats !fz;
-      let d_link = if negated then Degree.neg !m else !m in
-      project_insert out select r (Degree.conj (Ftuple.degree r) d_link)
-  in
-  let f_batch =
-    if not batch then None
-    else
-      match link with
-      | Classify.In_link { corr; _ } -> Some (in_batch ~negated:false corr)
-      | Classify.Not_in_link { corr; _ } -> Some (in_batch ~negated:true corr)
-      | _ -> None
-  in
   let sorted_r =
-    Join_merge.sort_by ?pool ?trace ?cancel ~batch outer' ~attr:sweep_y
-      ~mem_pages
+    Join_merge.sort_by ?pool ?trace ?cancel outer' ~attr:sweep_y ~mem_pages
   in
   temps := sorted_r :: !temps;
   let sorted_s =
-    Join_merge.sort_by ?pool ?trace ?cancel ~batch inner' ~attr:sweep_z
-      ~mem_pages
+    Join_merge.sort_by ?pool ?trace ?cancel inner' ~attr:sweep_z ~mem_pages
   in
   temps := sorted_s :: !temps;
-  Join_merge.sweep_sorted ?pool ?trace ?cancel ~batch ?f_batch
-    ~outer:sorted_r ~inner:sorted_s ~outer_attr:sweep_y ~inner_attr:sweep_z
-    ~mem_pages ~f:handle_r ();
+  Join_merge.sweep_sorted ?pool ?trace ?cancel ~outer:sorted_r ~inner:sorted_s
+    ~outer_attr:sweep_y ~inner_attr:sweep_z ~mem_pages ~f:handle_r ();
   let deduped = dedup_project out in
   Semantics.apply_threshold deduped threshold
   end
@@ -478,7 +407,7 @@ let cascade_plan chain (order : Chain_order.order) =
       (b, kept, dropped))
     order.Chain_order.steps
 
-let run_chain ?(name = "answer") ?order ?pool ?trace ?cancel ?(batch = false)
+let run_chain ?(name = "answer") ?order ?pool ?trace ?cancel
     (chain : Classify.chain) ~mem_pages : Relation.t =
   let { Classify.blocks; top_select; chain_threshold } = chain in
   let blocks_arr = Array.of_list blocks in
@@ -595,7 +524,7 @@ let run_chain ?(name = "answer") ?order ?pool ?trace ?cancel ?(batch = false)
              kept)
     in
     let joined =
-      Join_merge.join_eq ?pool ?trace ?cancel ~batch ?project ~outer:!acc
+      Join_merge.join_eq ?pool ?trace ?cancel ?project ~outer:!acc
         ~inner:new_rel ~outer_attr ~inner_attr ~mem_pages ~residual ()
     in
     temps := joined :: !temps;

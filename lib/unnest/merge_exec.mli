@@ -25,27 +25,22 @@ exception Not_unnestable of string
 
 val run :
   ?name:string -> ?pool:Storage.Task_pool.t -> ?trace:Storage.Trace.t ->
-  ?cancel:Storage.Cancel.t -> ?batch:bool ->
+  ?cancel:Storage.Cancel.t ->
   Classify.two_level -> mem_pages:int -> Relational.Relation.t
 (** With a multi-domain [?pool], the sorts and the sweep run domain-parallel
     (see {!Relational.Join_merge}); answers and degrees are identical to the
-    sequential run. With [~batch:true] the sorts and the sweep run columnar
-    (decorated sort, {!Relational.Join_merge.sweep_batch}): IN / NOT IN
-    windows are evaluated by vectorized handlers over the selection vector,
-    the other link types bridge to their scalar closures; answers, IEEE-754
-    degree bits and operation counts are again identical, and batch composes
-    with [?pool], [?trace] (per-batch spans) and [?cancel] (polled per
-    batch). With [?trace], one span per operator is recorded
+    sequential run. With [?trace], one span per operator is recorded
     (reduce, sort/run-formation/k-way-merge, sweep, dedup — or
     constant-inner for uncorrelated subqueries); [None] costs nothing.
-    With [?cancel], the reduction predicates, sort comparators, and sweep
-    loops poll the token; on {!Storage.Cancel.Cancelled} every owned
-    intermediate (reductions, sorted temporaries) is destroyed before the
+    With [?cancel], the reduction predicates, sort loops, and sweep loops
+    poll the token; on {!Storage.Cancel.Cancelled} every owned
+    intermediate (pre-dedup answer, reductions, sorted temporaries) is
+    destroyed before the
     exception escapes, so a server worker's environment stays clean. *)
 
 val run_chain :
   ?name:string -> ?order:Chain_order.order -> ?pool:Storage.Task_pool.t ->
-  ?trace:Storage.Trace.t -> ?cancel:Storage.Cancel.t -> ?batch:bool ->
+  ?trace:Storage.Trace.t -> ?cancel:Storage.Cancel.t ->
   Classify.chain -> mem_pages:int ->
   Relational.Relation.t
 (** Default order: left-to-right (outermost block first). The order's steps

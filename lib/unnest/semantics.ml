@@ -33,12 +33,16 @@ let local_degree stats (tuple : Ftuple.t) preds =
       | _ -> invalid_arg "Semantics.local_degree: predicate has a subquery")
     Degree.one preds
 
-(** Apply the WITH clause to a materialised answer. *)
+(** Apply the WITH clause to a materialised answer, consuming it. *)
 let apply_threshold rel = function
   | None -> rel
   | Some { Fuzzysql.Ast.strict; value } ->
-      Algebra.select rel ~pred:(fun tup ->
-          let d = Ftuple.degree tup in
-          if (strict && d > value) || ((not strict) && d >= value) then
-            Degree.one
-          else Degree.zero)
+      let kept =
+        Algebra.select rel ~pred:(fun tup ->
+            let d = Ftuple.degree tup in
+            if (strict && d > value) || ((not strict) && d >= value) then
+              Degree.one
+            else Degree.zero)
+      in
+      Relation.destroy rel;
+      kept

@@ -24,4 +24,6 @@ val local_degree :
 val apply_threshold :
   Relational.Relation.t -> Fuzzysql.Ast.threshold option ->
   Relational.Relation.t
-(** Materialise the WITH clause on an answer relation. *)
+(** Materialise the WITH clause on an answer relation. Consumes its input:
+    with a threshold, [rel] is destroyed and a new relation returned;
+    without one, [rel] itself is returned. *)

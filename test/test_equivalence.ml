@@ -5,7 +5,8 @@
     are evaluated by (a) the naive interpreter, (b) the blocked nested-loop
     method, and (c) the unnesting merge-join executor; all three answers must
     be identical fuzzy relations — same tuples AND same membership degrees,
-    the equivalence notion of Section 2.3. *)
+    the equivalence notion of Section 2.3. The merge-join executor must
+    moreover return the same IEEE-754 degree bits at 1 and 4 domains. *)
 
 open Frepro
 open Frepro.Relational
@@ -187,15 +188,25 @@ let check_three_ways kind spec =
   if not (Test_util.answers_equal a_naive a_merged) then
     QCheck.Test.fail_reportf "naive <> merge for %s@.naive: %a@.merge: %a" sql
       Test_util.pp_answer a_naive Test_util.pp_answer a_merged;
+  let bits1 = Test_util.answer_bits merged in
+  let bits4 =
+    Test_util.answer_bits
+      (Unnest.Planner.run ~strategy:Unnest.Planner.Auto ~mem_pages:8
+         ~domains:4 q)
+  in
+  if bits1 <> bits4 then
+    QCheck.Test.fail_reportf
+      "merge (domains 1) <> merge (domains 4) for %s@.domains 1: %a@.\
+       domains 4: %a"
+      sql Test_util.pp_bits bits1 Test_util.pp_bits bits4;
   true
 
 let make_prop name kind ?discrete_ok () =
   QCheck.Test.make ~count:60 ~name (arb_spec ?discrete_ok ())
     (check_three_ways kind)
 
-(* Chains: every merge path — domains 1 and 4, batch on and off, DP order
-   and left-to-right — must return the naive answer with identical degree
-   bits. *)
+(* Chains: every merge path — domains 1 and 4, DP order and left-to-right —
+   must return the naive answer with identical degree bits. *)
 let check_chain_paths kind spec =
   let catalog = make_db spec in
   let rng = Random.State.make [| spec.seed + 17 |] in
@@ -208,26 +219,52 @@ let check_chain_paths kind spec =
         (Unnest.Classify.to_string other));
   let naive = Test_util.answer_bits (Unnest.Naive_eval.query q) in
   List.iter
-    (fun (domains, batch, chain_dp) ->
+    (fun (domains, chain_dp) ->
       let merged =
         Test_util.answer_bits
           (Unnest.Planner.run ~strategy:Unnest.Planner.Unnest_merge
-             ~mem_pages:8 ~domains ~batch ~chain_dp q)
+             ~mem_pages:8 ~domains ~chain_dp q)
       in
       if merged <> naive then
         QCheck.Test.fail_reportf
-          "naive <> merge (domains %d, batch %b, dp %b) for %s@.naive: %a@.\
-           merge: %a"
-          domains batch chain_dp sql Test_util.pp_bits naive Test_util.pp_bits
-          merged)
-    [
-      (1, false, true); (1, false, false); (1, true, true); (1, true, false);
-      (4, false, true); (4, false, false); (4, true, true); (4, true, false);
-    ];
+          "naive <> merge (domains %d, dp %b) for %s@.naive: %a@.merge: %a"
+          domains chain_dp sql Test_util.pp_bits naive Test_util.pp_bits merged)
+    [ (1, true); (1, false); (4, true); (4, false) ];
   true
 
 let chain_prop name kind =
   QCheck.Test.make ~count:60 ~name (arb_spec ()) (check_chain_paths kind)
+
+(* A finished merge-join run must free every page but its answer's: a
+   server worker's environment outlives the query, so a temporary left
+   behind (a reduction, a sorted copy, the pre-dedup or pre-threshold
+   answer) would leak on every request. *)
+let check_frees_temporaries ?(suffix = "") kind spec =
+  let catalog = make_db spec in
+  let rng = Random.State.make [| spec.seed + 17 |] in
+  let sql = template rng kind ^ suffix in
+  let q = Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper sql in
+  let env = Catalog.env catalog in
+  Storage.Env.flush env;
+  let baseline = Storage.Disk.live_pages env.Storage.Env.disk in
+  List.iter
+    (fun domains ->
+      Relation.destroy
+        (Unnest.Planner.run ~strategy:Unnest.Planner.Unnest_merge ~mem_pages:8
+           ~domains q);
+      let live = Storage.Disk.live_pages env.Storage.Env.disk in
+      if live <> baseline then
+        QCheck.Test.fail_reportf
+          "%s (domains %d) left %d live pages behind, %d before the run" sql
+          domains live baseline)
+    [ 1; 4 ];
+  true
+
+let leak_prop name kind ?discrete_ok ?suffix () =
+  QCheck.Test.make ~count:40
+    ~name:("merge-join frees its temporaries: " ^ name)
+    (arb_spec ?discrete_ok ())
+    (check_frees_temporaries ?suffix kind)
 
 let props =
   [
@@ -289,8 +326,23 @@ let regression_cases =
         Alcotest.(check int) "merge" 0 (Relation.cardinality merged));
   ]
 
+let leak_props =
+  [
+    leak_prop "type N" `N ();
+    leak_prop "type J" `J ();
+    leak_prop "type JX" `JX ();
+    leak_prop "type JALL" `JALL ();
+    leak_prop "type JSOME" `JSOME ();
+    leak_prop "type JA" `JA ~discrete_ok:false ();
+    leak_prop "chain" `Chain ();
+    leak_prop "EXISTS / NOT EXISTS" `Exists ();
+    leak_prop "ranked answer (ORDER BY D, LIMIT)" `J
+      ~suffix:" ORDER BY D DESC LIMIT 3" ();
+  ]
+
 let suites =
   [
     ("equivalence.theorems", List.map QCheck_alcotest.to_alcotest props);
+    ("equivalence.leaks", List.map QCheck_alcotest.to_alcotest leak_props);
     ("equivalence.regressions", regression_cases);
   ]

@@ -252,6 +252,135 @@ let sort_leak_tests =
           (Disk.live_pages env.Env.disk));
   ]
 
+(* The decorated sort, the merge-join's only interval sort, at one domain
+   and on a pool of four (runs formed on private environments, merged into
+   the shared one). The input is flushed first, so every write the fault
+   plane sees is the sort's own. At one domain the 60th write lands in an
+   intermediate merge pass; at four, only the final merge writes to the
+   shared disk, and its 20th write is inside it. *)
+let decorated_sort_leak_tests =
+  let key r = (float_of_string (Bytes.sub_string r 4 4), 0.0) in
+  List.concat_map
+    (fun (domains, late_write) ->
+      let sort ?cancel input =
+        Task_pool.with_pool ~domains (fun pool ->
+            External_sort.sort_support ~pool ?cancel input ~key ~mem_pages:3)
+      in
+      let setup () =
+        let env = Env.create ~page_size:256 ~pool_pages:8 () in
+        let input = build_input env 300 in
+        Env.flush env;
+        (env, input, Disk.live_pages env.Env.disk)
+      in
+      [
+        tc
+          (Printf.sprintf
+             "aborted decorated sort frees its pages (fault, domains %d)"
+             domains)
+          `Quick
+          (fun () ->
+            List.iter
+              (fun nth ->
+                let env, input, baseline = setup () in
+                Env.set_fault env
+                  (Some
+                     (Fault.create (fspec (Printf.sprintf "write:nth=%d" nth))));
+                (try
+                   ignore (sort input);
+                   Alcotest.failf "expected an injected write fault (nth=%d)"
+                     nth
+                 with Fault.Injected { kind = Fault.Write_fault; _ } -> ());
+                Env.set_fault env None;
+                Alcotest.(check int)
+                  (Printf.sprintf "live pages back to baseline (nth=%d)" nth)
+                  baseline
+                  (Disk.live_pages env.Env.disk);
+                let sorted = sort input in
+                Alcotest.(check int)
+                  "records survived" 300 (Heap_file.num_records sorted))
+              [ 3; late_write ]);
+        tc
+          (Printf.sprintf
+             "aborted decorated sort frees its pages (cancellation, domains \
+              %d)"
+             domains)
+          `Quick
+          (fun () ->
+            let env, input, baseline = setup () in
+            let cancel = Cancel.create () in
+            Cancel.cancel ~reason:"test" cancel;
+            (try
+               ignore (sort ~cancel input);
+               Alcotest.fail "expected Cancelled"
+             with Cancel.Cancelled _ -> ());
+            Alcotest.(check int)
+              "live pages back to baseline" baseline
+              (Disk.live_pages env.Env.disk));
+      ])
+    [ (1, 60); (4, 20) ]
+
+(* A whole merge-join query cancelled before it starts and at successive
+   points of its run (the token cancels itself on its k-th deadline poll):
+   every cancelled run must free every page it allocated, and a run the
+   token lets finish must return the uncancelled answer. *)
+let planner_cancel_tests =
+  List.map
+    (fun domains ->
+      tc
+        (Printf.sprintf "cancelled Planner.run frees every page (domains %d)"
+           domains)
+        `Quick
+        (fun () ->
+          let env = Env.create ~pool_pages:16 () in
+          let catalog = Relational.Catalog.create env in
+          Server.Demo.load_nested ~seed:11 ~n_r:400 ~n_s:400 env catalog;
+          Env.flush env;
+          let q =
+            Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper
+              "SELECT R.ID FROM R WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V \
+               <= R.U)"
+          in
+          let run ?cancel () =
+            Unnest.Planner.run ~domains ~mem_pages:4 ?cancel q
+          in
+          let expected =
+            let a = run () in
+            let bits = Test_util.answer_bits a in
+            Relational.Relation.destroy a;
+            bits
+          in
+          let baseline = Disk.live_pages env.Env.disk in
+          let cancelled = ref 0 in
+          let attempt cancel =
+            (match run ~cancel () with
+            | answer ->
+                if Test_util.answer_bits answer <> expected then
+                  Alcotest.fail "answer changed under a live token";
+                Relational.Relation.destroy answer
+            | exception Cancel.Cancelled _ -> incr cancelled);
+            Alcotest.(check int)
+              "live pages back to baseline" baseline
+              (Disk.live_pages env.Env.disk)
+          in
+          let pre = Cancel.create () in
+          Cancel.cancel ~reason:"test" pre;
+          attempt pre;
+          List.iter
+            (fun k ->
+              let token = ref None and polls = ref 0 in
+              let on_poll () =
+                incr polls;
+                if !polls = k then
+                  Option.iter (Cancel.cancel ~reason:"mid-query") !token
+              in
+              let cancel = Cancel.create ~on_poll () in
+              token := Some cancel;
+              attempt cancel)
+            [ 1; 2; 4; 8; 16; 32; 64 ];
+          Alcotest.(check bool)
+            "some runs were cancelled" true (!cancelled >= 2)))
+    [ 1; 4 ]
+
 (* ------------------------------------------------------------------ *)
 (* Retry policy *)
 
@@ -620,7 +749,8 @@ let suites =
   [
     ("fault spec", spec_tests);
     ("fault plane", plane_tests @ [ QCheck_alcotest.to_alcotest determinism_prop ]);
-    ("fault sort-leaks", sort_leak_tests);
+    ( "fault sort-leaks",
+      sort_leak_tests @ decorated_sort_leak_tests @ planner_cancel_tests );
     ("fault retry", retry_tests);
     ("fault breaker", breaker_tests);
     ("fault daemon", daemon_fault_tests);

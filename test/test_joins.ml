@@ -198,6 +198,68 @@ let sorted_order_check =
       Alcotest.(check int) "same cardinality" (Relation.cardinality r)
         (Relation.cardinality sorted))
 
+(* The decorated sort is the merge-join's only interval sort. At one domain
+   it must write exactly the file of the generic record-comparator sort,
+   after the same comparisons; with more domains, the same key sequence
+   and record multiset (equal-key ties may land in another order). *)
+let sort_equivalence =
+  tc "sort_by = record-comparator External_sort.sort" `Quick (fun () ->
+      let records file =
+        let acc = ref [] in
+        Storage.Heap_file.iter file (fun b -> acc := Bytes.to_string b :: !acc);
+        List.rev !acc
+      in
+      let support b = Value.support (Ftuple.value (Codec.decode b) 1) in
+      let keys file =
+        List.map (fun b -> support (Bytes.of_string b)) (records file)
+      in
+      let env = Test_util.fresh_env () in
+      let catalog = Catalog.create env in
+      Server.Demo.load_nested ~seed:11 env catalog;
+      let demo_r = Option.get (Catalog.find catalog "R") in
+      let r, _ = generated_pair env in
+      (* mem_pages 3 on the generated relation forces several runs and an
+         intermediate merge pass; demo R sorts in one run *)
+      List.iter
+        (fun (rel, mem_pages) ->
+          let stats = env.Storage.Env.stats in
+          let file = Relation.file rel in
+          Storage.Buffer_pool.flush (Storage.Heap_file.pool file);
+          let c0 = Storage.Iostats.comparisons stats in
+          let reference =
+            Storage.External_sort.sort file ~mem_pages
+              ~compare:(fun a b ->
+                Fuzzy.Interval.compare_lex (support a) (support b))
+          in
+          let c1 = Storage.Iostats.comparisons stats in
+          let sorted = Join_merge.sort_by rel ~attr:1 ~mem_pages in
+          let c2 = Storage.Iostats.comparisons stats in
+          Alcotest.(check (list string)) "byte-identical records"
+            (records reference) (records (Relation.file sorted));
+          Alcotest.(check int) "same page count"
+            (Storage.Heap_file.num_pages reference)
+            (Relation.num_pages sorted);
+          Alcotest.(check int) "same comparisons" (c1 - c0) (c2 - c1);
+          List.iter
+            (fun domains ->
+              let par =
+                Storage.Task_pool.with_pool ~domains (fun pool ->
+                    Join_merge.sort_by ~pool rel ~attr:1 ~mem_pages)
+              in
+              let par_file = Relation.file par in
+              Alcotest.(check (list Test_util.interval))
+                (Printf.sprintf "key sequence (domains %d)" domains)
+                (keys reference) (keys par_file);
+              Alcotest.(check (list string))
+                (Printf.sprintf "record multiset (domains %d)" domains)
+                (List.sort compare (records reference))
+                (List.sort compare (records par_file));
+              Relation.destroy par)
+            [ 2; 4 ];
+          Storage.Heap_file.destroy reference;
+          Relation.destroy sorted)
+        [ (demo_r, 8); (r, 3) ])
+
 let fanout_sanity =
   tc "workload fan-out is close to n_inner / groups" `Quick (fun () ->
       let env = Test_util.fresh_env () in
@@ -312,7 +374,11 @@ let suites =
       List.map QCheck_alcotest.to_alcotest
         [ prop_merge_equals_nl; prop_indicator_equals_plain ]
       @ [ hand_case; dangling_window_case; residual_case; empty_inputs ] );
-    ("joins.io", [ nl_io_formula; merge_io_linear; sorted_order_check; fanout_sanity ]);
+    ( "joins.io",
+      [
+        nl_io_formula; merge_io_linear; sorted_order_check; sort_equivalence;
+        fanout_sanity;
+      ] );
     ( "joins.parallel",
       List.map QCheck_alcotest.to_alcotest parallel_props
       @ [ partition_replication ] );

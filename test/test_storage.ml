@@ -257,12 +257,13 @@ let prop_merge_heap =
       in
       out = expected)
 
-(* The domain-parallel sort must return the record sequence of the sequential
-   sort: with the whole record as the key, the order is fully determined, so
-   the outputs are compared exactly. *)
+(* The decorated sort, sequential or domain-parallel, must return the record
+   sequence of the record-comparator sort: the float-pair key determines the
+   record, so the order is fully determined and the outputs are compared
+   exactly. *)
 let prop_parallel_sort =
   QCheck.Test.make ~count:60
-    ~name:"sort_keyed (domains 1/2/4) = sequential sort"
+    ~name:"sort_support (domains 1/2/4) = sequential sort"
     QCheck.(triple (int_bound 10_000) (int_bound 400) (int_bound 2))
     (fun (seed, n, dsel) ->
       let domains = [| 1; 2; 4 |].(dsel) in
@@ -278,6 +279,10 @@ let prop_parallel_sort =
         Heap_file.iter f (fun r -> out := Bytes.to_string r :: !out);
         List.rev !out
       in
+      let key r =
+        let i = int_of_string (Bytes.to_string r) in
+        (float_of_int (i / 10), float_of_int (i mod 10))
+      in
       let seq_env = Env.create ~page_size:64 ~pool_pages:8 () in
       let seq =
         contents (External_sort.sort (fill seq_env) ~compare:Bytes.compare ~mem_pages:4)
@@ -286,8 +291,8 @@ let prop_parallel_sort =
       let par =
         Task_pool.with_pool ~domains (fun pool ->
             contents
-              (External_sort.sort_keyed ~pool (fill par_env)
-                 ~key:Bytes.to_string ~compare_key:String.compare ~mem_pages:4))
+              (External_sort.sort_support ~pool (fill par_env) ~key
+                 ~mem_pages:4))
       in
       seq = par)
 
