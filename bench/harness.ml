@@ -387,11 +387,11 @@ let run_cell ?(bench = "adhoc") ?(cell = "") ?trace cfg ~outer ~inner method_ =
   Catalog.add catalog r;
   Catalog.add catalog s;
   let q = Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper bench_sql in
-  let shape =
-    match Unnest.Classify.classify q with
-    | Unnest.Classify.Two_level shape -> shape
-    | other ->
-        failwith ("bench query misclassified as " ^ Unnest.Classify.to_string other)
+  let step =
+    match Unnest.Classify.plan q with
+    | Unnest.Classify.Merge step, _ -> step
+    | other, _ ->
+        failwith ("bench query planned as " ^ Unnest.Classify.to_string other)
   in
   let stats = env.Storage.Env.stats in
   Storage.Env.reset_stats env;
@@ -400,13 +400,14 @@ let run_cell ?(bench = "adhoc") ?(cell = "") ?trace cfg ~outer ~inner method_ =
     Storage.Iostats.timed stats Storage.Iostats.Other (fun () ->
         match method_ with
         | Nested_loop ->
-            Unnest.Nl_exec.run ?trace shape ~mem_pages:(mem_pages cfg)
+            Unnest.Nl_exec.run ?trace step.Unnest.Classify.two
+              ~mem_pages:(mem_pages cfg)
         | Merge_join ->
             if cfg.domains > 1 then
               Storage.Task_pool.with_pool ~domains:cfg.domains (fun pool ->
-                  Unnest.Merge_exec.run ~pool ?trace shape
+                  Unnest.Merge_exec.run ~pool ?trace step
                     ~mem_pages:(mem_pages cfg))
-            else Unnest.Merge_exec.run ?trace shape ~mem_pages:(mem_pages cfg))
+            else Unnest.Merge_exec.run ?trace step ~mem_pages:(mem_pages cfg))
   in
   let wall = Unix.gettimeofday () -. wall_start in
   let cpu = Storage.Iostats.cpu_seconds stats in

@@ -89,7 +89,7 @@ let help () =
    of a valid statement stays an answer table. *)
 let bind_checked st sql =
   match
-    Fuzzysql.Check.check_string ~classify:Unnest.Classify.shape_hint st.check
+    Fuzzysql.Check.check_string ~classify:Unnest.Classify.unnest_warning st.check
       sql
   with
   | Some q, _ -> Ok q
@@ -208,7 +208,7 @@ let meta st line =
   | "\\check" :: rest ->
       let sql = strip_semi (String.concat " " rest) in
       let _, diags =
-        Fuzzysql.Check.check_string ~classify:Unnest.Classify.shape_hint
+        Fuzzysql.Check.check_string ~classify:Unnest.Classify.unnest_warning
           st.check sql
       in
       print_diags sql diags;
@@ -241,7 +241,7 @@ let meta st line =
       | Error errs -> print_diags sql errs
       | Ok q ->
           Format.printf "%s@."
-            (Unnest.Classify.to_string (Unnest.Classify.classify q)))
+            (Unnest.Classify.to_string (fst (Unnest.Classify.plan q))))
   | _ -> Format.printf "unknown meta command (try \\help)@."
 
 (* ---- batch lint: fsql --check FILE ---- *)
@@ -297,7 +297,7 @@ let check_file path =
       if i > 0 then print_newline ();
       Format.printf "%s;@." sql;
       let _, diags =
-        Fuzzysql.Check.check_string ~classify:Unnest.Classify.shape_hint check
+        Fuzzysql.Check.check_string ~classify:Unnest.Classify.unnest_warning check
           sql
       in
       print_diags sql diags;

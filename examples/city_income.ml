@@ -55,7 +55,7 @@ let () =
   let q = Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.empty sql in
   Format.printf "Query 5 of the paper:@.%s@.@." sql;
   Format.printf "classified as: %s@.@."
-    (Unnest.Classify.to_string (Unnest.Classify.classify q));
+    (Unnest.Classify.to_string (fst (Unnest.Classify.plan q)));
   let answer = Unnest.Planner.run q in
   Format.printf "answer (possibility that the city out-earns every \
                  similarly-sized region-B city):@.%a@."

@@ -54,7 +54,7 @@ let () =
   let terms = Fuzzy.Term.paper in
   let run title sql =
     let q = Fuzzysql.Analyzer.bind_string ~catalog ~terms sql in
-    let shape = Unnest.Classify.to_string (Unnest.Classify.classify q) in
+    let shape = Unnest.Classify.to_string (fst (Unnest.Classify.plan q)) in
     let t0 = Unix.gettimeofday () in
     let answer = Unnest.Planner.run q in
     let dt = Unix.gettimeofday () -. t0 in

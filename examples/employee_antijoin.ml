@@ -42,7 +42,7 @@ let () =
   let q = Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper sql in
   Format.printf "Query 4 of the paper:@.%s@.@." sql;
   Format.printf "classified as: %s@.@."
-    (Unnest.Classify.to_string (Unnest.Classify.classify q));
+    (Unnest.Classify.to_string (fst (Unnest.Classify.plan q)));
   Format.printf "unnested (merge-join over the antijoin group-min):@.%a@."
     Relation.pp
     (Unnest.Planner.run ~strategy:Unnest.Planner.Unnest_merge q);

@@ -53,7 +53,7 @@ let () =
   (* 4. The classifier recognises the nesting type; the planner unnests it
      and evaluates the flat equivalent with the extended merge-join. *)
   Format.printf "query shape : %s@."
-    (Unnest.Classify.to_string (Unnest.Classify.classify q));
+    (Unnest.Classify.to_string (fst (Unnest.Classify.plan q)));
   let answer = Unnest.Planner.run q in
   Format.printf "answer      : %a@." Relation.pp answer;
 

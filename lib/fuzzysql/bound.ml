@@ -53,6 +53,11 @@ and having = {
   h_value : Value.t;
 }
 
+(** Whether a predicate contains a nested query block. *)
+let has_subquery = function
+  | Cmp _ -> false
+  | Cmp_sub _ | In _ | Not_in _ | Quant _ | Exists _ | Not_exists _ -> true
+
 (** Number of nested blocks: 1 for a flat query. *)
 let rec depth q =
   let pred_depth = function

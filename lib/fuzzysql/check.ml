@@ -258,10 +258,7 @@ let shape_warning classify (ast : Ast.query) (b : Bound.query) =
               ~hint:
                 "expect O(outer x inner) scan cost; consider rewriting the \
                  subquery into an unnestable form"
-              (Printf.sprintf
-                 "query is %s — outside the unnestable types N/J/JX/JA/JALL, \
-                  so it runs on the nested-loop interpreter"
-                 desc);
+              ("no unnesting rule applies, so the query " ^ desc);
           ])
 
 let check_ast ?classify ctx ast =

@@ -14,10 +14,11 @@
       the empty set (checked only for attributes whose loaded values are
       all crisp — fuzzy data values can satisfy formally "contradictory"
       constraints with positive degree);
-    - {b FSQL033} — a nested shape outside the paper's unnestable types
-      N/J/JX/JA/JALL, reported through the [?classify] callback (wired
-      to [Unnest.Classify.shape_hint] by the binaries and daemon so this
-      library does not depend on the planner).
+    - {b FSQL033} — a nested query whose plan is the nested-loop method
+      or the naive interpreter, naming every rule that declined; reported
+      through the [?classify] callback (wired to
+      [Unnest.Classify.unnest_warning] by the binaries so this library
+      does not depend on the planner).
 
     Satisfiability findings are {e warnings}: the query is valid, merely
     provably empty (or slow). Only Error-severity diagnostics make

@@ -5,9 +5,10 @@
     outside that class, but becomes unnestable after the outer block's FROM
     product (with its local predicates folded into tuple degrees) is
     materialised as a single relation and every attribute reference is
-    remapped into the concatenated schema. This module performs that
-    materialisation and rewrite; the planner then re-classifies and runs the
-    unnesting executors. *)
+    remapped into the concatenated schema. The rewrite is pure, so
+    {!Classify.plan}'s flatten-outer rule can re-plan the remapped query;
+    the planner materialises the product only when it executes that plan,
+    and destroys it afterwards. *)
 
 open Relational
 open Fuzzysql
@@ -37,24 +38,17 @@ let remap_operand offsets ~depth = function
   | Bound.Ref r -> Bound.Ref (remap_ref offsets r ~depth)
   | Bound.Lit _ as l -> l
 
-let rec remap_pred offsets ~depth = function
-  | Bound.Cmp (l, op, r) ->
-      Bound.Cmp (remap_operand offsets ~depth l, op, remap_operand offsets ~depth r)
-  | Bound.Cmp_sub (l, op, sub) ->
-      Bound.Cmp_sub
-        (remap_operand offsets ~depth l, op, remap_query offsets ~depth:(depth + 1) sub)
-  | Bound.In (l, sub) ->
-      Bound.In (remap_operand offsets ~depth l, remap_query offsets ~depth:(depth + 1) sub)
-  | Bound.Not_in (l, sub) ->
-      Bound.Not_in
-        (remap_operand offsets ~depth l, remap_query offsets ~depth:(depth + 1) sub)
-  | Bound.Quant (l, op, quant, sub) ->
-      Bound.Quant
-        (remap_operand offsets ~depth l, op, quant,
-         remap_query offsets ~depth:(depth + 1) sub)
-  | Bound.Exists sub -> Bound.Exists (remap_query offsets ~depth:(depth + 1) sub)
-  | Bound.Not_exists sub ->
-      Bound.Not_exists (remap_query offsets ~depth:(depth + 1) sub)
+let rec remap_pred offsets ~depth p =
+  let op = remap_operand offsets ~depth
+  and sub = remap_query offsets ~depth:(depth + 1) in
+  match p with
+  | Bound.Cmp (l, c, r) -> Bound.Cmp (op l, c, op r)
+  | Bound.Cmp_sub (l, c, q) -> Bound.Cmp_sub (op l, c, sub q)
+  | Bound.In (l, q) -> Bound.In (op l, sub q)
+  | Bound.Not_in (l, q) -> Bound.Not_in (op l, sub q)
+  | Bound.Quant (l, c, quant, q) -> Bound.Quant (op l, c, quant, sub q)
+  | Bound.Exists q -> Bound.Exists (sub q)
+  | Bound.Not_exists q -> Bound.Not_exists (sub q)
 
 and remap_query offsets ~depth (q : Bound.query) =
   {
@@ -69,85 +63,63 @@ and remap_query offsets ~depth (q : Bound.query) =
     group_by = List.map (fun r -> remap_ref offsets r ~depth) q.Bound.group_by;
   }
 
-let is_local_cmp = function
-  | Bound.Cmp (l, _, r) ->
-      let local = function Bound.Lit _ -> true | Bound.Ref a -> a.Bound.up = 0 in
-      local l && local r
-  | _ -> false
+(** The product's schema: the FROM entries' attributes concatenated, named
+    [flattened] (FROM holds two entries or more); [None] when two entries'
+    qualified attribute names collide (duplicate aliases). *)
+let product_schema = function
+  | [] -> None
+  | (_, first) :: rest -> (
+      let concat s (_, rel) =
+        Schema.concat ~name:"flattened" s (Relation.schema rel)
+      in
+      try Some (List.fold_left concat (Relation.schema first) rest)
+      with Invalid_argument _ -> None)
 
-let has_subquery = Classify.pred_has_subquery
+(** [remap from q product]: [q], whose WHERE holds only its subquery
+    predicate, rewritten over [product], a relation of [from]'s concatenated
+    tuples: every reference to the outer block moves to FROM entry 0 at its
+    shifted attribute position. Pure: [product] is only named in the
+    result. *)
+let remap from (q : Bound.query) product =
+  { (remap_query (offsets_of from) ~depth:0 q) with
+    Bound.from = [ ("flattened", product) ] }
 
-(** Rewrite a query whose outer block has several FROM relations and exactly
-    one subquery predicate into an equivalent query over the materialised
-    FROM product (local predicates folded into the degrees). Returns [None]
-    when the shape does not call for flattening (single FROM) or does not
-    allow it (several subqueries, grouping, non-local residual preds). *)
-let flatten_outer (q : Bound.query) : Bound.query option =
-  match q.Bound.from with
-  | [] | [ _ ] -> None
-  | from ->
-      let subqueries, locals = List.partition has_subquery q.Bound.where in
-      if
-        List.length subqueries <> 1
-        || (not (List.for_all is_local_cmp locals))
-        || q.Bound.group_by <> [] || q.Bound.having <> []
-      then None
-      else begin
-        match
-          (* duplicate aliases would produce colliding qualified names *)
+(** Materialise the FROM product of [from] as one relation of [schema]
+    (see {!product_schema}): every combination's degree is the min of its
+    tuples' degrees and of the local predicates [locals]; combinations of
+    degree 0 are not members. The caller destroys the result; a
+    cancellation ([?cancel] is polled per tuple) or a storage fault frees
+    the partial product before it escapes. *)
+let materialise ?cancel from locals schema =
+  let env = Relation.env (snd (List.hd from)) in
+  let stats = env.Storage.Env.stats in
+  let out = Relation.create env schema in
+  let rec product frame_rev degree = function
+    | [] ->
+        let stack = [ Array.of_list (List.rev frame_rev) ] in
+        let d =
           List.fold_left
-            (fun acc (_, rel) ->
-              match acc with
-              | None -> None
-              | Some s -> (
-                  try Some (Schema.concat ~name:"flattened" s (Relation.schema rel))
-                  with Invalid_argument _ -> None))
-            (Some (Relation.schema (snd (List.hd from))))
-            (List.tl from)
-        with
-        | None -> None
-        | Some combined_schema ->
-        let env = Relation.env (snd (List.hd from)) in
-        let stats = env.Storage.Env.stats in
-        let combined_schema = Schema.with_name combined_schema "flattened" in
-        let out = Relation.create env combined_schema in
-        (* Enumerate the FROM product, folding membership degrees and the
-           local predicates. *)
-        let rels = List.map snd from in
-        let rec product frame_rev degree = function
-          | [] ->
-              let frame = Array.of_list (List.rev frame_rev) in
-              let stack = [ frame ] in
-              let d =
-                List.fold_left
-                  (fun acc p ->
-                    if Fuzzy.Degree.positive acc then
-                      match p with
-                      | Bound.Cmp (l, op, r) ->
-                          Fuzzy.Degree.conj acc
-                            (Semantics.cmp_degree stats stack l op r)
-                      | _ -> assert false
-                    else acc)
-                  degree locals
-              in
-              if Fuzzy.Degree.positive d then begin
-                let values =
-                  Array.concat
-                    (List.map (fun t -> t.Ftuple.values) (List.rev frame_rev))
-                in
-                Relation.insert out (Ftuple.make values d)
-              end
-          | rel :: rest ->
-              Relation.iter rel (fun tup ->
-                  let d = Fuzzy.Degree.conj degree (Ftuple.degree tup) in
-                  if Fuzzy.Degree.positive d then
-                    product (tup :: frame_rev) d rest)
+            (fun acc p ->
+              if Fuzzy.Degree.positive acc then
+                match p with
+                | Bound.Cmp (l, op, r) ->
+                    Fuzzy.Degree.conj acc (Semantics.cmp_degree stats stack l op r)
+                | _ -> invalid_arg "Flatten.materialise: predicate has a subquery"
+              else acc)
+            degree locals
         in
-        product [] Fuzzy.Degree.one rels;
-        let offsets = offsets_of from in
-        let q' =
-          remap_query offsets ~depth:0
-            { q with Bound.where = subqueries }
-        in
-        Some { q' with Bound.from = [ ("flattened", out) ] }
-      end
+        if Fuzzy.Degree.positive d then
+          Relation.insert out
+            (Ftuple.make
+               (Array.concat
+                  (List.map (fun t -> t.Ftuple.values) (List.rev frame_rev)))
+               d)
+    | rel :: rest ->
+        Relation.iter rel (fun tup ->
+            Storage.Cancel.check cancel;
+            let d = Fuzzy.Degree.conj degree (Ftuple.degree tup) in
+            if Fuzzy.Degree.positive d then product (tup :: frame_rev) d rest)
+  in
+  (try product [] Fuzzy.Degree.one (List.map snd from)
+   with e -> Relation.destroy out; raise e);
+  out

@@ -17,66 +17,31 @@
       first, correlation predicates evaluated as residuals on the
       accumulated intermediate tuples.
 
-    Prerequisite: the sweep needs one equality predicate linking outer and
-    inner (the IN attribute pair or an equality correlation). [Not_unnestable]
-    is raised otherwise and the planner falls back to the nested-loop
-    method. *)
+    The sweep equality and the residual correlation predicates come split
+    from the plan ({!Classify.sweep}); a shape with no equality to sweep on
+    never reaches this module. *)
 
 open Relational
 open Fuzzy
 open Fuzzysql
 module Trace = Storage.Trace
 
-exception Not_unnestable of string
+module Vmap = Semantics.Vmap
 
-module Vmap = Map.Make (struct
-  type t = Value.t
-
-  let compare = Value.compare_structural
-end)
-
-let residual_degree stats (corr : Classify.corr list) r s =
-  List.fold_left
-    (fun acc (c : Classify.corr) ->
-      Storage.Iostats.record_fuzzy_op stats;
-      Degree.conj acc
-        (Value.compare_degree c.Classify.op
-           (Ftuple.value s c.Classify.local_attr)
-           (Ftuple.value r c.Classify.outer_attr)))
-    Degree.one corr
-
-(* Split off one equality correlation predicate to sweep on. *)
-let split_eq_corr corr =
-  let rec go acc = function
-    | [] -> None
-    | (c : Classify.corr) :: rest when c.Classify.op = Fuzzy_compare.Eq ->
-        Some (c, List.rev_append acc rest)
-    | c :: rest -> go (c :: acc) rest
-  in
-  go [] corr
-
-let project_insert out select r d =
-  if Degree.positive d then
-    Relation.insert out
-      (Ftuple.make (Array.of_list (List.map (fun p -> Ftuple.value r p) select)) d)
+let negate_if b d = if b then Degree.neg d else d
 
 (* "Notice that if no join predicate exists in the inner block, the inner
    block produces the same single value for every tuple of R and no
    unnesting is needed" (Section 6). For uncorrelated quantifier, aggregate,
    and EXISTS subqueries the temporary relation T is computed once: the
    aggregate / EXISTS link degree is then a constant, and quantifiers only
-   need one pass of R' against the duplicate-eliminated T. *)
-let run_constant_inner ~stats ~out ~select ~outer' ~inner' link =
-  let module Vm = Vmap in
+   need one pass of R' against the duplicate-eliminated T. [emit r d_link]
+   answers [r] at min(mu_r, d_link). *)
+let run_constant_inner ~stats ~emit ~outer' ~inner' link =
   (* T: the fuzzy value set of the whole (reduced) inner relation. *)
   let collect z =
-    Relation.fold inner' ~init:Vm.empty ~f:(fun m s ->
-        let d = Ftuple.degree s in
-        if Degree.positive d then
-          Vm.update (Ftuple.value s z)
-            (function None -> Some d | Some d' -> Some (Degree.disj d d'))
-            m
-        else m)
+    Relation.fold inner' ~init:Vmap.empty ~f:(fun m s ->
+        Semantics.vmap_add (Ftuple.value s z) (Ftuple.degree s) m)
   in
   match link with
   | Classify.Exists_link { negated; corr = [] } ->
@@ -84,61 +49,44 @@ let run_constant_inner ~stats ~out ~select ~outer' ~inner' link =
         Relation.fold inner' ~init:Degree.zero ~f:(fun acc s ->
             Degree.disj acc (Ftuple.degree s))
       in
-      let d_link = if negated then Degree.neg m else m in
-      Relation.iter outer' (fun r ->
-          project_insert out select r (Degree.conj (Ftuple.degree r) d_link))
-  | Classify.Agg_link { y; op1; agg; z; corr = [] } ->
-      let t = collect z in
-      let vs = List.map fst (Vm.bindings t) in
-      let result =
-        match (Aggregate.apply agg vs, agg) with
-        | (Some _ as res), _ -> res
-        | None, Aggregate.Count -> Some (Value.Int 0)
-        | None, _ -> None
-      in
-      (match result with
+      Relation.iter outer' (fun r -> emit r (negate_if negated m))
+  | Classify.Agg_link { y; op1; agg; z; corr = [] } -> (
+      match Semantics.aggregate agg (collect z) with
       | None -> () (* NULL aggregate: no answers *)
       | Some a ->
           Relation.iter outer' (fun r ->
               Storage.Iostats.record_fuzzy_op stats;
-              let d_link = Value.compare_degree op1 (Ftuple.value r y) a in
-              project_insert out select r
-                (Degree.conj (Ftuple.degree r) d_link)))
+              emit r (Value.compare_degree op1 (Ftuple.value r y) a)))
   | Classify.Quant_link { y; op; quant; z; corr = [] } ->
-      let t = Vm.bindings (collect z) in
+      (* ALL folds 1 - d(y op z) into the max and negates it. *)
+      let all = quant = Ast.All in
+      let t = Vmap.bindings (collect z) in
       Relation.iter outer' (fun r ->
           let m =
             List.fold_left
               (fun acc (zv, dz) ->
                 Storage.Iostats.record_fuzzy_op stats;
                 let d_cmp = Value.compare_degree op (Ftuple.value r y) zv in
-                let term =
-                  match quant with
-                  | Ast.All -> Degree.neg d_cmp
-                  | Ast.Some_ -> d_cmp
-                in
-                Degree.disj acc (Degree.conj dz term))
+                Degree.disj acc (Degree.conj dz (negate_if all d_cmp)))
               Degree.zero t
           in
-          let d_link =
-            match quant with Ast.All -> Degree.neg m | Ast.Some_ -> m
-          in
-          project_insert out select r (Degree.conj (Ftuple.degree r) d_link))
+          emit r (negate_if all m))
   | Classify.In_link _ | Classify.Not_in_link _ | Classify.Exists_link _
   | Classify.Agg_link _ | Classify.Quant_link _ ->
       invalid_arg "run_constant_inner: link is not constant-inner"
 
-let is_constant_inner = function
-  | Classify.Exists_link { corr = []; _ }
-  | Classify.Agg_link { corr = []; _ }
-  | Classify.Quant_link { corr = []; _ } ->
-      true
-  | Classify.In_link _ | Classify.Not_in_link _ | Classify.Exists_link _
-  | Classify.Agg_link _ | Classify.Quant_link _ ->
-      false
-
-let run ?(name = "answer") ?pool ?trace ?cancel
-    (shape : Classify.two_level) ~mem_pages : Relation.t =
+(* The frame both two-level executors share: reduce R and S by p1 / p2
+   (only tuples satisfying them positively are kept, their satisfaction
+   degrees folded into the tuple degrees; with no local predicates the base
+   relation is used directly, no copy), let [body] fill the pre-dedup
+   answer through [emit r d_link] (the projection of [r] at min(mu_r,
+   d_link)), then max-dedup and apply the WITH threshold. The threshold is
+   pushed into the reductions where sound (see {!Pushdown}). The pre-dedup
+   answer, the reductions and whatever [body] registers in [temps] are
+   destroyed on every exit, so a cancellation raised anywhere in the
+   pipeline (reduce, sort, sweep) still frees them: a server worker's
+   environment outlives the query. *)
+let two_level_frame ~name ?trace ?cancel (shape : Classify.two_level) body =
   let { Classify.select; outer; inner; p1; p2; link; threshold } = shape in
   let env = Relation.env outer in
   let stats = env.Storage.Env.stats in
@@ -147,224 +95,130 @@ let run ?(name = "answer") ?pool ?trace ?cancel
       (List.map (fun i -> (Schema.attrs (Relation.schema outer)).(i)) select)
   in
   let out = Relation.create env out_schema in
-  (* Reduction: only tuples satisfying p1 / p2 positively are sorted
-     (their satisfaction degrees are folded into the tuple degrees). With no
-     local predicates the base relation is used directly — no copy. The WITH
-     threshold is pushed into the reduction where sound (see {!Pushdown}). *)
-  let reduced rel preds ~prune =
-    if preds = [] && not prune then (rel, false)
-    else
-      ( Algebra.select rel ~pred:(fun tup ->
-            Storage.Cancel.check cancel;
-            let d = Semantics.local_degree stats tup preds in
-            if
-              prune
-              && Pushdown.cannot_pass threshold
-                   (Degree.conj (Ftuple.degree tup) d)
-            then Degree.zero
-            else d),
-        true )
-  in
-  let prune = threshold <> None in
-  let traced_reduce which rel preds ~prune =
-    if preds = [] && not prune then (rel, false)
-    else
-      Trace.with_span trace ~stats ("reduce " ^ which) (fun () ->
-          let r = reduced rel preds ~prune in
-          Trace.set_rows trace (Relation.cardinality (fst r));
-          r)
-  in
-  let dedup_project rel =
-    Trace.with_span trace ~stats "dedup" (fun () ->
-        let deduped = Algebra.dedup_max ~name rel in
-        Trace.set_rows trace (Relation.cardinality deduped);
-        deduped)
-  in
-  (* The pre-dedup answer, reductions and sorted temporaries are destroyed
-     through [temps] so a cancellation raised anywhere in the pipeline
-     (reduce, sort, sweep) still frees them — a server worker's environment
-     outlives the query. *)
   let temps = ref [ out ] in
   Fun.protect ~finally:(fun () -> List.iter Relation.destroy !temps)
   @@ fun () ->
-  let outer', outer_owned = traced_reduce "outer" outer p1 ~prune in
-  if outer_owned then temps := outer' :: !temps;
-  let inner', inner_owned =
-    traced_reduce "inner" inner p2 ~prune:(prune && Pushdown.inner_prunable link)
+  let reduce which rel preds ~prune =
+    if preds = [] && not prune then rel
+    else
+      Trace.with_span trace ~stats ("reduce " ^ which) (fun () ->
+          let r =
+            Algebra.select rel ~pred:(fun tup ->
+                Storage.Cancel.check cancel;
+                let d = Semantics.local_degree stats tup preds in
+                if
+                  prune
+                  && Pushdown.cannot_pass threshold
+                       (Degree.conj (Ftuple.degree tup) d)
+                then Degree.zero
+                else d)
+          in
+          temps := r :: !temps;
+          Trace.set_rows trace (Relation.cardinality r);
+          r)
   in
-  if inner_owned then temps := inner' :: !temps;
-  if is_constant_inner link then begin
-    Trace.with_span trace ~stats "constant-inner" (fun () ->
-        run_constant_inner ~stats ~out ~select ~outer' ~inner' link;
-        Trace.set_rows trace (Relation.cardinality out));
-    let deduped = dedup_project out in
-    Semantics.apply_threshold deduped threshold
-  end
-  else begin
-  (* Pick the sweep equality and the per-pair term evaluation. *)
-  let sweep_y, sweep_z, handle_r =
-    match link with
-    | Classify.In_link { y; z; corr } ->
-        ( y, z,
-          fun (r : Ftuple.t) rng ->
-            let m =
-              List.fold_left
-                (fun acc (s, d_eq) ->
-                  if Degree.positive d_eq then
-                    Degree.disj acc
-                      (Degree.conj_list
-                         [ Ftuple.degree s; d_eq; residual_degree stats corr r s ])
-                  else acc)
-                Degree.zero rng
-            in
-            project_insert out select r (Degree.conj (Ftuple.degree r) m) )
-    | Classify.Not_in_link { y; z; corr } ->
-        ( y, z,
-          fun r rng ->
-            (* min over all s of 1 - min(mu_s, d_eq, d_corr); s outside the
-               window has d_eq = 0, contributing the neutral 1. *)
-            let m =
-              List.fold_left
-                (fun acc (s, d_eq) ->
-                  Degree.disj acc
-                    (Degree.conj_list
-                       [ Ftuple.degree s; d_eq; residual_degree stats corr r s ]))
-                Degree.zero rng
-            in
-            project_insert out select r
-              (Degree.conj (Ftuple.degree r) (Degree.neg m)) )
-    | Classify.Quant_link { y; op; quant; z; corr } -> (
-        match split_eq_corr corr with
-        | None ->
-            raise
-              (Not_unnestable
-                 "quantified subquery without an equality correlation \
-                  predicate")
-        | Some (eq, rest) ->
-            ( eq.Classify.outer_attr, eq.Classify.local_attr,
-              fun r rng ->
-                let m =
-                  List.fold_left
-                    (fun acc (s, d_eq) ->
-                      if Degree.positive d_eq then begin
-                        Storage.Iostats.record_fuzzy_op stats;
-                        let d_cmp =
-                          Value.compare_degree op (Ftuple.value r y)
-                            (Ftuple.value s z)
-                        in
-                        let inner_term =
-                          match quant with
-                          | Ast.All -> Degree.neg d_cmp
-                          | Ast.Some_ -> d_cmp
-                        in
-                        Degree.disj acc
-                          (Degree.conj_list
-                             [
-                               Ftuple.degree s; d_eq;
-                               residual_degree stats rest r s; inner_term;
-                             ])
-                      end
-                      else acc)
-                    Degree.zero rng
-                in
-                let d_link =
-                  match quant with
-                  | Ast.All -> Degree.neg m
-                  | Ast.Some_ -> m
-                in
-                project_insert out select r
-                  (Degree.conj (Ftuple.degree r) d_link) ))
-    | Classify.Exists_link { negated; corr } -> (
-        match split_eq_corr corr with
-        | None ->
-            raise
-              (Not_unnestable
-                 "EXISTS subquery without an equality correlation predicate")
-        | Some (eq, rest) ->
-            (* Fuzzy semi-join (anti-join when negated): d(EXISTS) is the max
-               over the window of min(mu_s, d_eq, d_rest); tuples outside the
-               window have d_eq = 0 and cannot raise the max. *)
-            ( eq.Classify.outer_attr, eq.Classify.local_attr,
-              fun r rng ->
-                let m =
-                  List.fold_left
-                    (fun acc (s, d_eq) ->
-                      if Degree.positive d_eq then
-                        Degree.disj acc
-                          (Degree.conj_list
-                             [
-                               Ftuple.degree s; d_eq;
-                               residual_degree stats rest r s;
-                             ])
-                      else acc)
-                    Degree.zero rng
-                in
-                let d_link = if negated then Degree.neg m else m in
-                project_insert out select r
-                  (Degree.conj (Ftuple.degree r) d_link) ))
-    | Classify.Agg_link { y; op1; agg; z; corr } -> (
-        match split_eq_corr corr with
-        | None ->
-            raise
-              (Not_unnestable
-                 "aggregate subquery without an equality correlation \
-                  predicate")
-        | Some (eq, rest) ->
-            ( eq.Classify.outer_attr, eq.Classify.local_attr,
-              fun r rng ->
-                (* T'(u): the fuzzy value set of the group for u = r.U. *)
-                let set =
-                  List.fold_left
-                    (fun m (s, d_eq) ->
-                      let d =
-                        Degree.conj_list
-                          [
-                            Ftuple.degree s; d_eq;
-                            residual_degree stats rest r s;
-                          ]
-                      in
-                      if Degree.positive d then
-                        Vmap.update (Ftuple.value s z)
-                          (function
-                            | None -> Some d
-                            | Some d' -> Some (Degree.disj d d'))
-                          m
-                      else m)
-                    Vmap.empty rng
-                in
-                let vs = List.map fst (Vmap.bindings set) in
-                let result =
-                  match (Aggregate.apply agg vs, agg) with
-                  | (Some _ as res), _ -> res
-                  | None, Aggregate.Count ->
-                      (* COUNT over an empty group: the left outer join branch
-                         of Query COUNT' compares with 0. *)
-                      Some (Value.Int 0)
-                  | None, _ -> None
-                in
-                match result with
-                | None -> ()
-                | Some a ->
-                    Storage.Iostats.record_fuzzy_op stats;
-                    let d_link =
-                      Value.compare_degree op1 (Ftuple.value r y) a
-                    in
-                    project_insert out select r
-                      (Degree.conj (Ftuple.degree r) d_link) ))
+  let prune = threshold <> None in
+  let outer' = reduce "outer" outer p1 ~prune in
+  let inner' =
+    reduce "inner" inner p2 ~prune:(prune && Pushdown.inner_prunable link)
   in
-  let sorted_r =
-    Join_merge.sort_by ?pool ?trace ?cancel outer' ~attr:sweep_y ~mem_pages
+  let emit r d_link =
+    let d = Degree.conj (Ftuple.degree r) d_link in
+    if Degree.positive d then
+      Relation.insert out
+        (Ftuple.make (Array.of_list (List.map (Ftuple.value r) select)) d)
   in
-  temps := sorted_r :: !temps;
-  let sorted_s =
-    Join_merge.sort_by ?pool ?trace ?cancel inner' ~attr:sweep_z ~mem_pages
+  body ~stats ~temps ~out ~emit outer' inner';
+  let deduped =
+    Trace.with_span trace ~stats "dedup" (fun () ->
+        let deduped = Algebra.dedup_max ~name out in
+        Trace.set_rows trace (Relation.cardinality deduped);
+        deduped)
   in
-  temps := sorted_s :: !temps;
-  Join_merge.sweep_sorted ?pool ?trace ?cancel ~outer:sorted_r ~inner:sorted_s
-    ~outer_attr:sweep_y ~inner_attr:sweep_z ~mem_pages ~f:handle_r ();
-  let deduped = dedup_project out in
   Semantics.apply_threshold deduped threshold
-  end
+
+let run_constant ?(name = "answer") ?trace ?cancel (shape : Classify.two_level)
+    : Relation.t =
+  two_level_frame ~name ?trace ?cancel shape
+    (fun ~stats ~temps:_ ~out ~emit outer' inner' ->
+      Trace.with_span trace ~stats "constant-inner" (fun () ->
+          run_constant_inner ~stats ~emit ~outer' ~inner' shape.Classify.link;
+          Trace.set_rows trace (Relation.cardinality out)))
+
+let run ?(name = "answer") ?pool ?trace ?cancel (step : Classify.sweep)
+    ~mem_pages : Relation.t =
+  let { Classify.two; outer_key; inner_key; residual } = step in
+  two_level_frame ~name ?trace ?cancel two
+    (fun ~stats ~temps ~out:_ ~emit outer' inner' ->
+      let residual_degree = Classify.corr_degree stats residual in
+      (* max over the window Rng(r) of min(mu_s, d_eq, d_residual, term);
+         a pair outside the window has d_eq = 0 and cannot raise the max,
+         so it is skipped — except for NOT IN, whose fold has always
+         evaluated every pair of the window. *)
+      let window_max ?(every_pair = false) ?(term = fun _ _ -> Degree.one)
+          (r : Ftuple.t) rng =
+        List.fold_left
+          (fun acc (s, d_eq) ->
+            if every_pair || Degree.positive d_eq then
+              Degree.disj acc
+                (Degree.conj_list
+                   [ Ftuple.degree s; d_eq; residual_degree r s; term r s ])
+            else acc)
+          Degree.zero rng
+      in
+      (* The per-outer-tuple term evaluation over its window. *)
+      let handle_r =
+        match two.Classify.link with
+        | Classify.In_link _ -> fun r rng -> emit r (window_max r rng)
+        | Classify.Not_in_link _ ->
+            (* min over all s of 1 - min(mu_s, d_eq, d_corr): the neutral 1
+               for every s outside the window. *)
+            fun r rng ->
+              emit r (Degree.neg (window_max ~every_pair:true r rng))
+        | Classify.Exists_link { negated; _ } ->
+            (* Fuzzy semi-join (anti-join when negated). *)
+            fun r rng -> emit r (negate_if negated (window_max r rng))
+        | Classify.Quant_link { y; op; quant; z; _ } ->
+            (* ALL folds 1 - d(y op z) into the max and negates it. *)
+            let all = quant = Ast.All in
+            let term r s =
+              Storage.Iostats.record_fuzzy_op stats;
+              negate_if all
+                (Value.compare_degree op (Ftuple.value r y) (Ftuple.value s z))
+            in
+            fun r rng -> emit r (negate_if all (window_max ~term r rng))
+        | Classify.Agg_link { y; op1; agg; z; _ } -> (
+            fun r rng ->
+              (* T'(u): the fuzzy value set of the group for u = r.U. *)
+              let set =
+                List.fold_left
+                  (fun m (s, d_eq) ->
+                    let d =
+                      Degree.conj_list
+                        [ Ftuple.degree s; d_eq; residual_degree r s ]
+                    in
+                    Semantics.vmap_add (Ftuple.value s z) d m)
+                  Vmap.empty rng
+              in
+              match Semantics.aggregate agg set with
+              | None -> ()
+              | Some a ->
+                  Storage.Iostats.record_fuzzy_op stats;
+                  emit r (Value.compare_degree op1 (Ftuple.value r y) a))
+      in
+      let sorted_r =
+        Join_merge.sort_by ?pool ?trace ?cancel outer' ~attr:outer_key
+          ~mem_pages
+      in
+      temps := sorted_r :: !temps;
+      let sorted_s =
+        Join_merge.sort_by ?pool ?trace ?cancel inner' ~attr:inner_key
+          ~mem_pages
+      in
+      temps := sorted_s :: !temps;
+      Join_merge.sweep_sorted ?pool ?trace ?cancel ~outer:sorted_r
+        ~inner:sorted_s ~outer_attr:outer_key ~inner_attr:inner_key
+        ~mem_pages ~f:handle_r ())
 
 (* After the cascade has joined the block interval [lo, hi], flags the
    blocks whose columns a later step or the answer still reads: block 0 (the

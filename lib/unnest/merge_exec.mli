@@ -13,30 +13,36 @@
     - type JA (Theorem 6.1): the pipelined T1 / T2 / JA' cascade, including
       the COUNT left-outer-join branch;
     - EXISTS / NOT EXISTS: fuzzy semi- / anti-joins;
+    - an uncorrelated inner block (Section 6): evaluated once, no sweep;
     - chain queries (Theorem 8.1): a cascade of merge-joins growing a
       contiguous block interval in a configurable order, correlation
       predicates applied as soon as both endpoints are available, and each
       step keeping only the blocks later steps still need. *)
 
-exception Not_unnestable of string
-(** Raised when no equality predicate links outer and inner (quantified,
-    aggregate, or EXISTS subqueries whose correlation is order-only); the
-    planner falls back to the nested-loop method. *)
-
 val run :
   ?name:string -> ?pool:Storage.Task_pool.t -> ?trace:Storage.Trace.t ->
   ?cancel:Storage.Cancel.t ->
-  Classify.two_level -> mem_pages:int -> Relational.Relation.t
-(** With a multi-domain [?pool], the sorts and the sweep run domain-parallel
+  Classify.sweep -> mem_pages:int -> Relational.Relation.t
+(** One sorted sweep on the plan's sweep equality, with its residual
+    correlation predicates folded into each pair's term. With a
+    multi-domain [?pool], the sorts and the sweep run domain-parallel
     (see {!Relational.Join_merge}); answers and degrees are identical to the
     sequential run. With [?trace], one span per operator is recorded
-    (reduce, sort/run-formation/k-way-merge, sweep, dedup — or
-    constant-inner for uncorrelated subqueries); [None] costs nothing.
+    (reduce, sort/run-formation/k-way-merge, sweep, dedup); [None] costs
+    nothing.
     With [?cancel], the reduction predicates, sort loops, and sweep loops
     poll the token; on {!Storage.Cancel.Cancelled} every owned
     intermediate (pre-dedup answer, reductions, sorted temporaries) is
     destroyed before the
     exception escapes, so a server worker's environment stays clean. *)
+
+val run_constant :
+  ?name:string -> ?trace:Storage.Trace.t -> ?cancel:Storage.Cancel.t ->
+  Classify.two_level -> Relational.Relation.t
+(** An uncorrelated quantifier, aggregate or EXISTS block (Section 6: no
+    unnesting is needed): the reduced inner relation is read once and the
+    link degree is folded into each outer tuple. Spans: reduce, then
+    constant-inner and dedup. [?cancel] as for {!run}. *)
 
 val run_chain :
   ?name:string -> ?order:Chain_order.order -> ?pool:Storage.Task_pool.t ->

@@ -18,18 +18,9 @@ let stats_of (q : Bound.query) =
   | [] -> invalid_arg "Naive_eval: query without FROM"
 
 (* Fuzzy set of values: structural value -> max degree. *)
-module Vmap = Map.Make (struct
-  type t = Value.t
+module Vmap = Semantics.Vmap
 
-  let compare = Value.compare_structural
-end)
-
-let vmap_add v d m =
-  if not (Degree.positive d) then m
-  else
-    Vmap.update v
-      (function None -> Some d | Some d' -> Some (Degree.disj d d'))
-      m
+let vmap_add = Semantics.vmap_add
 
 (* Enumerate all FROM combinations of a block with their base degree
    (the min of the member tuples' membership degrees). *)
@@ -97,11 +88,7 @@ and scalar_aggregate (q : Bound.query) ~outer =
       Vmap.empty
       (satisfying q ~outer)
   in
-  let vs = List.map fst (Vmap.bindings values) in
-  match (Aggregate.apply agg vs, agg) with
-  | Some a, _ -> Some a
-  | None, Aggregate.Count -> Some (Value.Int 0)
-  | None, _ -> None
+  Semantics.aggregate agg values
 
 and pred_degree stats ~stack (p : Bound.pred) : Degree.t =
   match p with
@@ -217,13 +204,7 @@ let grouped_rows (q : Bound.query) stats rows =
           (fun m (frame, d) -> vmap_add (Semantics.resolve_ref [ frame ] r) d m)
           Vmap.empty members
       in
-      let agg_value agg r =
-        let vs = List.map fst (Vmap.bindings (fuzzy_set_of r)) in
-        match (Aggregate.apply agg vs, agg) with
-        | Some a, _ -> Some a
-        | None, Aggregate.Count -> Some (Value.Int 0)
-        | None, _ -> None
-      in
+      let agg_value agg r = Semantics.aggregate agg (fuzzy_set_of r) in
       let group_degree =
         List.fold_left (fun m (_, d) -> Degree.disj m d) Degree.zero members
       in
@@ -320,4 +301,5 @@ let query ?(name = "answer") ?trace (q : Bound.query) : Relation.t =
         Trace.set_rows trace (Relation.cardinality deduped);
         deduped)
   in
+  Relation.destroy raw;
   Semantics.apply_threshold deduped q.Bound.threshold

@@ -13,25 +13,7 @@ open Relational
 open Fuzzy
 open Fuzzysql
 
-module Vmap = Map.Make (struct
-  type t = Value.t
-
-  let compare = Value.compare_structural
-end)
-
-(* Degree of the conjunction of correlation predicates for a pair (r, s). *)
-let corr_degree stats (corr : Classify.corr list) r s =
-  match corr with
-  | [] -> Degree.one
-  | corr ->
-      List.fold_left
-        (fun acc (c : Classify.corr) ->
-          Storage.Iostats.record_fuzzy_op stats;
-          Degree.conj acc
-            (Value.compare_degree c.Classify.op
-               (Ftuple.value s c.Classify.local_attr)
-               (Ftuple.value r c.Classify.outer_attr)))
-        Degree.one corr
+module Vmap = Semantics.Vmap
 
 let run ?(name = "answer") ?trace ?cancel (shape : Classify.two_level)
     ~mem_pages : Relation.t =
@@ -44,6 +26,8 @@ let run ?(name = "answer") ?trace ?cancel (shape : Classify.two_level)
       (List.map (fun i -> (Schema.attrs (Relation.schema outer)).(i)) select)
   in
   let out = Relation.create env out_schema in
+  (* The pre-dedup answer is freed on every exit, cancellation included. *)
+  Fun.protect ~finally:(fun () -> Relation.destroy out) @@ fun () ->
   let emit r d =
     if Degree.positive d then
       Relation.insert out
@@ -75,108 +59,61 @@ let run ?(name = "answer") ?trace ?cancel (shape : Classify.two_level)
          linking predicate's satisfaction degree. *)
       let absorb, finalize =
         match link with
-        | Classify.In_link { y; z; corr } ->
-            let m = Array.make n Degree.zero in
-            ( (fun s d2 ->
-                for i = 0 to n - 1 do
-                  if Degree.positive d1.(i) then begin
-                    let r = block.(i) in
-                    Storage.Iostats.record_fuzzy_op stats;
-                    let term =
-                      Degree.conj d2
-                        (Degree.conj
-                           (Value.compare_degree Fuzzy_compare.Eq
-                              (Ftuple.value r y) (Ftuple.value s z))
-                           (corr_degree stats corr r s))
-                    in
-                    if term > m.(i) then m.(i) <- term
-                  end
-                done),
-              fun i _ -> m.(i) )
-        | Classify.Not_in_link { y; z; corr } ->
-            let m = Array.make n Degree.zero in
-            ( (fun s d2 ->
-                for i = 0 to n - 1 do
-                  if Degree.positive d1.(i) then begin
-                    let r = block.(i) in
-                    Storage.Iostats.record_fuzzy_op stats;
-                    let term =
-                      Degree.conj d2
-                        (Degree.conj
-                           (Value.compare_degree Fuzzy_compare.Eq
-                              (Ftuple.value r y) (Ftuple.value s z))
-                           (corr_degree stats corr r s))
-                    in
-                    if term > m.(i) then m.(i) <- term
-                  end
-                done),
-              fun i _ -> Degree.neg m.(i) )
-        | Classify.Quant_link { y; op; quant; z; corr } ->
-            let m = Array.make n Degree.zero in
-            ( (fun s d2 ->
-                for i = 0 to n - 1 do
-                  if Degree.positive d1.(i) then begin
-                    let r = block.(i) in
-                    Storage.Iostats.record_fuzzy_op stats;
-                    let d_cmp =
-                      Value.compare_degree op (Ftuple.value r y)
-                        (Ftuple.value s z)
-                    in
-                    let inner_term =
-                      match quant with
-                      | Ast.All -> Degree.neg d_cmp
-                      | Ast.Some_ -> d_cmp
-                    in
-                    let term =
-                      Degree.conj d2
-                        (Degree.conj inner_term (corr_degree stats corr r s))
-                    in
-                    if term > m.(i) then m.(i) <- term
-                  end
-                done),
-              fun i _ ->
-                match quant with
-                | Ast.All -> Degree.neg m.(i)
-                | Ast.Some_ -> m.(i) )
-        | Classify.Exists_link { negated; corr } ->
-            let m = Array.make n Degree.zero in
-            ( (fun s d2 ->
-                for i = 0 to n - 1 do
-                  if Degree.positive d1.(i) then begin
-                    let term = Degree.conj d2 (corr_degree stats corr block.(i) s) in
-                    if term > m.(i) then m.(i) <- term
-                  end
-                done),
-              fun i _ -> if negated then Degree.neg m.(i) else m.(i) )
         | Classify.Agg_link { y; op1; agg; z; corr } ->
             let sets = Array.make n Vmap.empty in
             ( (fun s d2 ->
                 for i = 0 to n - 1 do
                   if Degree.positive d1.(i) then begin
                     let r = block.(i) in
-                    let d = Degree.conj d2 (corr_degree stats corr r s) in
-                    if Degree.positive d then
-                      sets.(i) <-
-                        Vmap.update (Ftuple.value s z)
-                          (function
-                            | None -> Some d
-                            | Some d' -> Some (Degree.disj d d'))
-                          sets.(i)
+                    let d = Degree.conj d2 (Classify.corr_degree stats corr r s) in
+                    sets.(i) <- Semantics.vmap_add (Ftuple.value s z) d sets.(i)
                   end
                 done),
               fun i r ->
-                let vs = List.map fst (Vmap.bindings sets.(i)) in
-                let result =
-                  match (Aggregate.apply agg vs, agg) with
-                  | (Some _ as res), _ -> res
-                  | None, Aggregate.Count -> Some (Value.Int 0)
-                  | None, _ -> None
-                in
-                match result with
+                match Semantics.aggregate agg sets.(i) with
                 | None -> Degree.zero
                 | Some a ->
                     Storage.Iostats.record_fuzzy_op stats;
                     Value.compare_degree op1 (Ftuple.value r y) a )
+        | Classify.In_link _ | Classify.Not_in_link _ | Classify.Quant_link _
+        | Classify.Exists_link _ ->
+            (* The max-combining links: per block tuple, the max over inner
+               tuples of min(d2, d(y op z), d_corr), negated for NOT IN,
+               ALL (whose comparison is negated too) and NOT EXISTS. *)
+            let cmp, corr, negated =
+              match link with
+              | Classify.In_link { y; z; corr } ->
+                  (Some (Fuzzy_compare.Eq, y, z, false), corr, false)
+              | Classify.Not_in_link { y; z; corr } ->
+                  (Some (Fuzzy_compare.Eq, y, z, false), corr, true)
+              | Classify.Quant_link { y; op; quant; z; corr } ->
+                  let all = quant = Ast.All in
+                  (Some (op, y, z, all), corr, all)
+              | Classify.Exists_link { negated; corr } -> (None, corr, negated)
+              | Classify.Agg_link _ -> assert false
+            in
+            let m = Array.make n Degree.zero in
+            ( (fun s d2 ->
+                for i = 0 to n - 1 do
+                  if Degree.positive d1.(i) then begin
+                    let r = block.(i) in
+                    let d_cmp =
+                      match cmp with
+                      | Some (op, y, z, negate_cmp) ->
+                          Storage.Iostats.record_fuzzy_op stats;
+                          let d =
+                            Value.compare_degree op (Ftuple.value r y)
+                              (Ftuple.value s z)
+                          in
+                          if negate_cmp then Degree.neg d else d
+                      | None -> Degree.one
+                    in
+                    let d_corr = Classify.corr_degree stats corr r s in
+                    let term = Degree.conj d2 (Degree.conj d_cmp d_corr) in
+                    if term > m.(i) then m.(i) <- term
+                  end
+                done),
+              fun i _ -> if negated then Degree.neg m.(i) else m.(i) )
       in
       let inner_prune = Pushdown.inner_prunable link in
       scan_inner (fun s ->

@@ -1,17 +1,8 @@
-(** Entry point of the query processor: classify, choose a method, execute.
-
-    Three strategies are available:
-    - [Naive]: the recursive interpreter (inner blocks re-evaluated per outer
-      binding) — always applicable;
-    - [Nested_loop]: the paper's blocked nested-loop method for 2-level
-      shapes;
-    - [Unnest_merge]: the paper's unnesting transformations evaluated with
-      the extended merge-join.
-
-    [Auto] picks [Unnest_merge] whenever the query's shape supports it,
-    falling back to [Nested_loop] (for 2-level shapes without an equality to
-    sweep on) and finally to [Naive] — mirroring the paper's conclusion that
-    unnested evaluation dominates whenever it applies. *)
+(** Entry point of the query processor: plan with {!Classify.plan}, then
+    execute the plan. [Naive], [Nested_loop] and [Unnest_merge] override the
+    plan's executor; [Auto] runs it as the rules chose it, mirroring the
+    paper's conclusion that unnested evaluation dominates whenever it
+    applies. *)
 
 open Relational
 
@@ -51,12 +42,7 @@ let rank_and_limit answer ~order ~limit =
       let truncated =
         match limit with
         | None -> sorted
-        | Some k ->
-            let rec take n = function
-              | x :: rest when n > 0 -> x :: take (n - 1) rest
-              | _ -> []
-            in
-            take k sorted
+        | Some k -> List.filteri (fun i _ -> i < k) sorted
       in
       let ranked =
         Relation.of_list (Relation.env answer) (Relation.schema answer)
@@ -70,61 +56,42 @@ let run_unranked ?(name = "answer") ?(strategy = Auto)
     ?cancel (q : Fuzzysql.Bound.query) : Relation.t =
   if domains < 1 then invalid_arg "Planner.run: domains < 1";
   Storage.Cancel.check cancel;
-  let shape = Classify.classify q in
-  let chain_order chain =
-    if chain_dp then Some (Chain_order.plan chain) else None
+  let naive () = Naive_eval.query ~name ?trace q in
+  (* One match on the plan: the rule that fired decides the executor, and a
+     strategy only overrides it. *)
+  let rec exec pool (plan : Classify.plan) =
+    match (strategy, plan) with
+    | Naive, _
+    | _, Classify.Flat
+    | Nested_loop, (Classify.Chain _ | Classify.Flattened _ | Classify.Naive)
+    | _, Classify.Naive ->
+        naive ()
+    | ( Nested_loop,
+        ( Classify.Constant_inner two | Classify.Nested_loop two
+        | Classify.Merge { two; _ } ) )
+    | _, Classify.Nested_loop two ->
+        Nl_exec.run ~name ?trace ?cancel two ~mem_pages
+    | _, Classify.Constant_inner two ->
+        Merge_exec.run_constant ~name ?trace ?cancel two
+    | _, Classify.Merge step ->
+        Merge_exec.run ~name ?pool ?trace ?cancel step ~mem_pages
+    | _, Classify.Chain chain ->
+        let order = if chain_dp then Some (Chain_order.plan chain) else None in
+        Merge_exec.run_chain ~name ?order ?pool ?trace ?cancel chain ~mem_pages
+    | _, Classify.Flattened f ->
+        let product = Flatten.materialise ?cancel f.product f.locals f.schema in
+        Fun.protect ~finally:(fun () -> Relation.destroy product) (fun () ->
+            exec pool (Classify.with_outer f.inner product))
   in
-  let exec pool =
-    (* Multi-relation outer blocks become unnestable after the outer FROM
-       product is materialised (see {!Flatten}); [fallback] runs when the
-       rewrite does not apply or does not help. *)
-    let try_flattened ~fallback =
-      match Flatten.flatten_outer q with
-      | None -> fallback ()
-      | Some q' -> (
-          match Classify.classify q' with
-          | Classify.Two_level two -> (
-              try
-                Merge_exec.run ~name ?pool ?trace ?cancel two ~mem_pages
-              with Merge_exec.Not_unnestable _ ->
-                Nl_exec.run ~name ?trace ?cancel two ~mem_pages)
-          | Classify.Chain_query chain -> (
-              try
-                Merge_exec.run_chain ~name ?order:(chain_order chain) ?pool
-                  ?trace ?cancel chain ~mem_pages
-              with Merge_exec.Not_unnestable _ -> fallback ())
-          | Classify.Flat | Classify.General -> fallback ())
-    in
-    match (strategy, shape) with
-    | Naive, _ -> Naive_eval.query ~name ?trace q
-    | Nested_loop, Classify.Two_level shape ->
-        Nl_exec.run ~name ?trace ?cancel shape ~mem_pages
-    | Nested_loop, (Classify.Flat | Classify.General | Classify.Chain_query _)
-      ->
-        Naive_eval.query ~name ?trace q
-    | Unnest_merge, Classify.Two_level shape ->
-        Merge_exec.run ~name ?pool ?trace ?cancel shape ~mem_pages
-    | Unnest_merge, Classify.Chain_query chain ->
-        Merge_exec.run_chain ~name ?order:(chain_order chain) ?pool ?trace
-          ?cancel chain ~mem_pages
-    | Unnest_merge, Classify.Flat -> Naive_eval.query ~name ?trace q
-    | Unnest_merge, Classify.General ->
-        try_flattened ~fallback:(fun () ->
-            raise
-              (Unsupported "query shape cannot be unnested; use Auto or Naive"))
-    | Auto, Classify.Two_level two -> (
-        try Merge_exec.run ~name ?pool ?trace ?cancel two ~mem_pages
-        with Merge_exec.Not_unnestable _ ->
-          Nl_exec.run ~name ?trace ?cancel two ~mem_pages)
-    | Auto, Classify.Chain_query chain -> (
-        try
-          Merge_exec.run_chain ~name ?order:(chain_order chain) ?pool ?trace
-            ?cancel chain ~mem_pages
-        with Merge_exec.Not_unnestable _ -> Naive_eval.query ~name ?trace q)
-    | Auto, Classify.Flat -> Naive_eval.query ~name ?trace q
-    | Auto, Classify.General ->
-        try_flattened ~fallback:(fun () -> Naive_eval.query ~name ?trace q)
-  in
+  let ((plan, _) as planned) = Classify.plan q in
+  (match (strategy, Classify.fallback planned) with
+  | Unnest_merge, Some (_, declines) ->
+      raise
+        (Unsupported
+           (Printf.sprintf "no merge-join plan (%s); use Auto or Naive"
+              (String.concat "; "
+                 (List.map Classify.decline_to_string declines))))
+  | _ -> ());
   let exec pool =
     (* One root span per query, carrying the whole run's Iostats delta and
        the answer cardinality; the executors' operator spans nest inside. *)
@@ -132,10 +99,10 @@ let run_unranked ?(name = "answer") ?(strategy = Auto)
     | (_, rel) :: _ ->
         let stats = (Relation.env rel).Storage.Env.stats in
         Storage.Trace.with_span trace ~stats "query" (fun () ->
-            let answer = exec pool in
+            let answer = exec pool plan in
             Storage.Trace.set_rows trace (Relation.cardinality answer);
             answer)
-    | [] -> exec pool
+    | [] -> exec pool plan
   in
   (* [domains = 1] never constructs a pool: it is exactly the sequential
      engine. The pool lives for one query — spawn cost is amortised across

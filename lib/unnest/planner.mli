@@ -1,10 +1,11 @@
-(** Entry point of the query processor: classify, choose a method, execute.
+(** Entry point of the query processor: plan with {!Classify.plan}, then
+    execute the plan with one match, no fallback at run time.
 
-    [Auto] picks the unnesting merge-join whenever the query's shape supports
-    it, falling back to the nested-loop method (for 2-level shapes without an
-    equality to sweep on) and finally to the naive interpreter — mirroring
-    the paper's conclusion that unnested evaluation dominates whenever it
-    applies. *)
+    [Auto] runs the plan as the rules chose it: the unnesting merge-join
+    whenever a theorem's rule fired, the nested-loop method for 2-level
+    shapes without an equality to sweep on, and the naive interpreter when
+    no rule applies — mirroring the paper's conclusion that unnested
+    evaluation dominates whenever it applies. *)
 
 type strategy =
   | Auto
@@ -15,7 +16,8 @@ type strategy =
 val strategy_to_string : strategy -> string
 
 exception Unsupported of string
-(** Raised by [Unnest_merge] on shapes outside the unnestable classes. *)
+(** Raised by [Unnest_merge] when the plan has no merge step (nested-loop
+    or naive); the message names every decline. *)
 
 val default_mem_pages : int
 (** 256 pages = the paper's 2 MB buffer. *)

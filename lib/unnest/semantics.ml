@@ -33,6 +33,29 @@ let local_degree stats (tuple : Ftuple.t) preds =
       | _ -> invalid_arg "Semantics.local_degree: predicate has a subquery")
     Degree.one preds
 
+module Vmap = Map.Make (struct
+  type t = Value.t
+
+  let compare = Value.compare_structural
+end)
+
+(* Add [v] with degree [d] to a fuzzy value set, keeping the max degree;
+   degree 0 is not membership. *)
+let vmap_add v d m =
+  if not (Degree.positive d) then m
+  else
+    Vmap.update v
+      (function None -> Some d | Some d' -> Some (Degree.disj d d'))
+      m
+
+(* COUNT over an empty set is 0 (the left outer join branch of Query
+   COUNT'); any other aggregate over it is NULL. *)
+let aggregate agg (set : Degree.t Vmap.t) =
+  match (Aggregate.apply agg (List.map fst (Vmap.bindings set)), agg) with
+  | (Some _ as res), _ -> res
+  | None, Aggregate.Count -> Some (Value.Int 0)
+  | None, _ -> None
+
 (** Apply the WITH clause to a materialised answer, consuming it. *)
 let apply_threshold rel = function
   | None -> rel

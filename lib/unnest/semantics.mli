@@ -21,6 +21,19 @@ val local_degree :
     single-relation block (the paper's [p1] / [p2]). Raises
     [Invalid_argument] if a predicate contains a subquery. *)
 
+module Vmap : Map.S with type key = Relational.Value.t
+(** Fuzzy value sets: structural value -> max degree. *)
+
+val vmap_add :
+  Relational.Value.t -> Fuzzy.Degree.t -> Fuzzy.Degree.t Vmap.t ->
+  Fuzzy.Degree.t Vmap.t
+(** Add a value at a degree, keeping the max; degree 0 adds nothing. *)
+
+val aggregate :
+  Relational.Aggregate.t -> Fuzzy.Degree.t Vmap.t -> Relational.Value.t option
+(** AGG over a fuzzy value set's values; COUNT of the empty set is 0, any
+    other aggregate of it NULL ([None]). *)
+
 val apply_threshold :
   Relational.Relation.t -> Fuzzysql.Ast.threshold option ->
   Relational.Relation.t

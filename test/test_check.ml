@@ -19,7 +19,7 @@ let ctx env =
   Check.ctx ~catalog:(Test_util.paper_db env) ~terms:Fuzzy.Term.paper
 
 let diags_of env sql =
-  snd (Check.check_string ~classify:Unnest.Classify.shape_hint (ctx env) sql)
+  snd (Check.check_string ~classify:Unnest.Classify.unnest_warning (ctx env) sql)
 
 let codes ds = List.map (fun d -> d.Diagnostic.code) ds
 
@@ -230,7 +230,7 @@ let suggestion_tests =
 (* ---------- satisfiability warnings ---------- *)
 
 let bound_of env sql =
-  match Check.check_string ~classify:Unnest.Classify.shape_hint (ctx env) sql with
+  match Check.check_string ~classify:Unnest.Classify.unnest_warning (ctx env) sql with
   | Some q, ds -> (q, ds)
   | None, ds ->
       Alcotest.failf "should bind: %s\n%s" sql
@@ -292,8 +292,11 @@ let warning_tests =
         in
         Alcotest.(check (list string)) "codes" [ "FSQL033" ] (codes ds);
         let d = List.hd ds in
-        Alcotest.(check bool) "names the shape" true
-          (contains d.Diagnostic.message "general nested");
+        Alcotest.(check bool) "names the method" true
+          (contains d.Diagnostic.message "naive interpreter");
+        Alcotest.(check bool) "names the decline" true
+          (contains d.Diagnostic.message
+             "N/J declined: two subquery predicates in one WHERE");
         Alcotest.(check bool) "cost hint" true
           (match d.Diagnostic.hint with
           | Some h -> contains h "scan cost"
@@ -375,7 +378,7 @@ let qcheck_ctx = lazy (ctx (Lazy.force qcheck_env))
 
 let prop_accept_runs sql =
   let c = Lazy.force qcheck_ctx in
-  match Check.check_string ~classify:Unnest.Classify.shape_hint c sql with
+  match Check.check_string ~classify:Unnest.Classify.unnest_warning c sql with
   | None, ds ->
       (* Rejected statements must say why, with an Error-severity code. *)
       Diagnostic.has_errors ds

@@ -143,6 +143,26 @@ let template rng kind =
          S.Z %s R.Y%s)%s%s"
         (pick rng [| "EXISTS"; "NOT EXISTS" |])
         corr_op p2 p1 with_d
+  | `No_eq ->
+      (* The only correlation is an order predicate: no equality to sweep
+         on, so the plan is the nested-loop method. *)
+      let corr = pick rng [| "S.V <= R.U"; "S.V >= R.U" |] in
+      (match Random.State.int rng 3 with
+      | 0 ->
+          Printf.sprintf
+            "SELECT R.ID FROM R WHERE R.Y %s %s (SELECT S.Z FROM S WHERE %s%s)%s%s"
+            (pick rng ops)
+            (pick rng [| "ALL"; "SOME" |])
+            corr p2 p1 with_d
+      | 1 ->
+          Printf.sprintf
+            "SELECT R.ID FROM R WHERE R.Y %s (SELECT %s(S.Z) FROM S WHERE %s%s)%s%s"
+            (pick rng ops) (pick rng aggs) corr p2 p1 with_d
+      | _ ->
+          Printf.sprintf
+            "SELECT R.ID FROM R WHERE %s (SELECT S.ID FROM S WHERE %s%s)%s%s"
+            (pick rng [| "EXISTS"; "NOT EXISTS" |])
+            corr p2 p1 with_d)
   | `Multi_from ->
       (* Multi-relation outer block: unnestable only after the outer FROM
          product is flattened (Unnest.Flatten). *)
@@ -212,10 +232,10 @@ let check_chain_paths kind spec =
   let rng = Random.State.make [| spec.seed + 17 |] in
   let sql = template rng kind in
   let q = Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper sql in
-  (match Unnest.Classify.classify q with
-  | Unnest.Classify.Chain_query _ -> ()
-  | other ->
-      QCheck.Test.fail_reportf "%s classified as %s, not a chain" sql
+  (match Unnest.Classify.plan q with
+  | Unnest.Classify.Chain _, _ -> ()
+  | other, _ ->
+      QCheck.Test.fail_reportf "%s planned as %s, not a chain" sql
         (Unnest.Classify.to_string other));
   let naive = Test_util.answer_bits (Unnest.Naive_eval.query q) in
   List.iter
@@ -235,10 +255,12 @@ let check_chain_paths kind spec =
 let chain_prop name kind =
   QCheck.Test.make ~count:60 ~name (arb_spec ()) (check_chain_paths kind)
 
-(* A finished merge-join run must free every page but its answer's: a
-   server worker's environment outlives the query, so a temporary left
-   behind (a reduction, a sorted copy, the pre-dedup or pre-threshold
-   answer) would leak on every request. *)
+(* A finished run must free every page but its answer's: a server worker's
+   environment outlives the query, so a temporary left behind (a
+   reduction, a sorted copy, a flattened FROM product, the pre-dedup or
+   pre-threshold answer) would leak on every request. Every evaluation
+   path is checked: the plan under Auto at domains 1 and 4, the
+   nested-loop method and the naive interpreter. *)
 let check_frees_temporaries ?(suffix = "") kind spec =
   let catalog = make_db spec in
   let rng = Random.State.make [| spec.seed + 17 |] in
@@ -248,21 +270,21 @@ let check_frees_temporaries ?(suffix = "") kind spec =
   Storage.Env.flush env;
   let baseline = Storage.Disk.live_pages env.Storage.Env.disk in
   List.iter
-    (fun domains ->
-      Relation.destroy
-        (Unnest.Planner.run ~strategy:Unnest.Planner.Unnest_merge ~mem_pages:8
-           ~domains q);
+    (fun (strategy, domains) ->
+      Relation.destroy (Unnest.Planner.run ~strategy ~mem_pages:8 ~domains q);
       let live = Storage.Disk.live_pages env.Storage.Env.disk in
       if live <> baseline then
         QCheck.Test.fail_reportf
-          "%s (domains %d) left %d live pages behind, %d before the run" sql
+          "%s (%s, domains %d) left %d live pages behind, %d before the run"
+          sql
+          (Unnest.Planner.strategy_to_string strategy)
           domains live baseline)
-    [ 1; 4 ];
+    Unnest.Planner.[ (Auto, 1); (Auto, 4); (Nested_loop, 1); (Naive, 1) ];
   true
 
 let leak_prop name kind ?discrete_ok ?suffix () =
   QCheck.Test.make ~count:40
-    ~name:("merge-join frees its temporaries: " ^ name)
+    ~name:("every path frees its temporaries: " ^ name)
     (arb_spec ?discrete_ok ())
     (check_frees_temporaries ?suffix kind)
 
@@ -288,6 +310,10 @@ let props =
     make_prop "constant inner blocks (uncorrelated NA / NALL / NEXISTS)"
       `Uncorrelated ~discrete_ok:false ();
     make_prop "multi-relation outer blocks via flattening" `Multi_from ();
+    (* aggregates use SUM/AVG, which cannot mix discrete and continuous
+       operands *)
+    make_prop "no equality correlation: the nested-loop plan" `No_eq
+      ~discrete_ok:false ();
   ]
 
 (* ---------- deterministic regression cases ---------- *)
@@ -338,6 +364,8 @@ let leak_props =
     leak_prop "EXISTS / NOT EXISTS" `Exists ();
     leak_prop "ranked answer (ORDER BY D, LIMIT)" `J
       ~suffix:" ORDER BY D DESC LIMIT 3" ();
+    leak_prop "multi-relation outer block" `Multi_from ();
+    leak_prop "no equality correlation" `No_eq ~discrete_ok:false ();
   ]
 
 let suites =

@@ -24,6 +24,7 @@ let golden_tests =
           "SELECT F.NAME FROM F WHERE F.AGE = 'medium young' AND F.INCOME IN \
            (SELECT M.INCOME FROM M WHERE M.AGE = 'middle age')"
           "shape: type N\n\
+           rule: N/J\n\
            method: unnest + extended merge-join (Sections 4-7)\n\
           \  reduce F by p1 (1 local predicate)\n\
           \  reduce M by p2 (1 local predicate)\n\
@@ -40,6 +41,7 @@ let golden_tests =
           "SELECT F.NAME FROM F WHERE F.INCOME IN (SELECT M.INCOME FROM M \
            WHERE M.AGE = F.AGE)"
           "shape: type J\n\
+           rule: N/J\n\
            method: unnest + extended merge-join (Sections 4-7)\n\
           \  reduce F by p1 (0 local predicates)\n\
           \  reduce M by p2 (0 local predicates)\n\
@@ -57,6 +59,7 @@ let golden_tests =
           "SELECT F.NAME FROM F WHERE F.INCOME NOT IN (SELECT M.INCOME FROM \
            M WHERE M.AGE = F.AGE)"
           "shape: type JX\n\
+           rule: JX\n\
            method: unnest + extended merge-join (Sections 4-7)\n\
           \  reduce F by p1 (0 local predicates)\n\
           \  reduce M by p2 (0 local predicates)\n\
@@ -76,6 +79,7 @@ let golden_tests =
           "SELECT F.NAME FROM F WHERE F.INCOME > (SELECT MAX(M.INCOME) FROM \
            M WHERE M.AGE = F.AGE)"
           "shape: type JA\n\
+           rule: JA/COUNT\n\
            method: unnest + extended merge-join (Sections 4-7)\n\
           \  reduce F by p1 (0 local predicates)\n\
           \  reduce M by p2 (0 local predicates)\n\
@@ -83,7 +87,6 @@ let golden_tests =
           \  single sweep; per outer tuple examine Rng(r): pipelined \
            MAX(INCOME) compared as d(INCOME > AGG)\n\
           \  estimates: |F| = 4, |M| = 4, expected matching pairs ~ 13\n\
-          \  residual correlation predicates: AGE = AGE\n\
           \  project NAME, duplicate-eliminate keeping max degree\n\
           \  rewritten flat query (paper notation):\n\
           \    T1(U) = (SELECT F.AGE FROM F);  T2(U, A) = (SELECT T1.U, \
@@ -95,6 +98,7 @@ let golden_tests =
           "SELECT F.NAME FROM F WHERE F.INCOME < ALL (SELECT M.INCOME FROM M \
            WHERE M.AGE = F.AGE)"
           "shape: type JALL\n\
+           rule: JALL/JSOME\n\
            method: unnest + extended merge-join (Sections 4-7)\n\
           \  reduce F by p1 (0 local predicates)\n\
           \  reduce M by p2 (0 local predicates)\n\
@@ -102,18 +106,88 @@ let golden_tests =
           \  single sweep; per outer tuple examine Rng(r): quantified ALL: \
            d(INCOME < INCOME)\n\
           \  estimates: |F| = 4, |M| = 4, expected matching pairs ~ 13\n\
-          \  residual correlation predicates: AGE = AGE\n\
           \  project NAME, duplicate-eliminate keeping max degree\n\
           \  rewritten flat query (paper notation):\n\
           \    T1(K, X, D) = (SELECT F.K, F.NAME, MIN(D) FROM F, M WHERE F.D \
            AND NOT(M.D AND M.AGE = F.AGE AND NOT(F.INCOME < M.INCOME)) WITH \
            D >= 0 GROUPBY F.K);  SELECT X FROM T1\n");
+    tc "type JA swept on its equality, residual order predicate" `Quick
+      (fun () ->
+        check_golden "type JA, residual"
+          "SELECT F.NAME FROM F WHERE F.INCOME >= (SELECT MAX(M.INCOME) FROM \
+           M WHERE M.AGE <= F.AGE AND M.NAME = F.NAME)"
+          "shape: type JA\n\
+           rule: JA/COUNT\n\
+           method: unnest + extended merge-join (Sections 4-7)\n\
+          \  reduce F by p1 (0 local predicates)\n\
+          \  reduce M by p2 (0 local predicates)\n\
+          \  sort both on the Definition 3.1 interval order of (NAME, NAME)\n\
+          \  single sweep; per outer tuple examine Rng(r): pipelined \
+           MAX(INCOME) compared as d(INCOME >= AGG)\n\
+          \  estimates: |F| = 4, |M| = 4, expected matching pairs ~ 0\n\
+          \  residual correlation predicates: AGE <= AGE\n\
+          \  project NAME, duplicate-eliminate keeping max degree\n\
+          \  rewritten flat query (paper notation):\n\
+          \    T1(U, AGE) = (SELECT F.NAME, F.AGE FROM F);  T2(U, AGE, A) = \
+           (SELECT T1.U, T1.AGE, MAX(M.INCOME) FROM T1, M WHERE M.NAME = \
+           T1.U AND M.AGE <= T1.AGE GROUPBY T1.U, T1.AGE);  SELECT F.NAME \
+           FROM F, T2 WHERE TRUE AND F.NAME = T2.U AND F.AGE = T2.AGE AND \
+           F.INCOME >= T2.A\n");
+    tc "type JALL without an equality: nested loop" `Quick (fun () ->
+        check_golden "nested-loop"
+          "SELECT F.NAME FROM F WHERE F.INCOME < ALL (SELECT M.INCOME FROM M \
+           WHERE M.AGE <= F.AGE)"
+          "shape: type JALL\n\
+           JALL/JSOME declined: quantified subquery without an equality \
+           correlation predicate\n\
+           rule: nested-loop\n\
+           method: blocked nested loop (Section 3), no equality to sweep on\n\
+          \  per block of F, scan M once: quantified ALL: d(INCOME < INCOME)\n\
+          \  correlation predicates: AGE <= AGE\n\
+          \  project NAME, duplicate-eliminate keeping max degree\n");
+    tc "uncorrelated >= ALL: constant inner block" `Quick (fun () ->
+        check_golden "constant-inner"
+          "SELECT F.NAME FROM F WHERE F.INCOME >= ALL (SELECT M.INCOME FROM \
+           M WHERE M.AGE = 'middle age')"
+          "shape: type JALL\n\
+           rule: constant-inner\n\
+           method: constant inner block, evaluated once (Section 6: no \
+           unnesting needed)\n\
+          \  reduce F by p1 (0 local predicates)\n\
+          \  reduce M by p2 (1 local predicate)\n\
+          \  one pass of F against the reduced M: quantified ALL: d(INCOME \
+           >= INCOME)\n\
+          \  project NAME, duplicate-eliminate keeping max degree\n");
+    tc "multi-FROM type J: flatten-outer, then N/J" `Quick (fun () ->
+        check_golden "flatten-outer"
+          "SELECT F.NAME, M.NAME FROM F, M WHERE F.AGE = M.AGE AND F.INCOME \
+           IN (SELECT G.INCOME FROM M G WHERE G.AGE = M.AGE)"
+          "shape: type J over the flattened outer FROM (F, M)\n\
+           N/J declined: the outer block reads several relations\n\
+           rule: flatten-outer\n\
+           method: materialise the outer FROM product (F x M) with 1 local \
+           predicate folded into its degrees, then plan it:\n\
+           rule: N/J\n\
+           method: unnest + extended merge-join (Sections 4-7)\n\
+          \  reduce flattened by p1 (0 local predicates)\n\
+          \  reduce G by p2 (0 local predicates)\n\
+          \  sort both on the Definition 3.1 interval order of (F.INCOME, \
+           INCOME)\n\
+          \  single sweep; per outer tuple examine Rng(r): d(F.INCOME = \
+           INCOME)\n\
+          \  residual correlation predicates: AGE = M.AGE\n\
+          \  project F.NAME, M.NAME, duplicate-eliminate keeping max degree\n\
+          \  rewritten flat query (paper notation):\n\
+          \    SELECT flattened.F.NAME, flattened.M.NAME FROM flattened, G \
+           WHERE flattened.F.INCOME = G.INCOME AND G.AGE = flattened.M.AGE\n");
     tc "chain of 3 blocks" `Quick (fun () ->
         check_golden "chain"
           "SELECT F.ID FROM F WHERE F.AGE = 'medium young' AND F.INCOME IN \
            (SELECT M.INCOME FROM M WHERE M.AGE = F.AGE AND M.ID IN (SELECT \
            G.ID FROM F G WHERE G.AGE = M.AGE AND G.INCOME = F.INCOME))"
           "shape: chain of 3 blocks\n\
+           N/J declined: the subquery is itself nested\n\
+           rule: chain\n\
            method: unnest to a K-way flat join (Theorem 8.1), merge-joins \
            only\n\
           \  blocks: F -> M -> G\n\

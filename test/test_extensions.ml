@@ -271,8 +271,8 @@ let chain_tests =
         let env = Test_util.fresh_env () in
         let catalog = chain_catalog env ~n1:25 ~n2:25 ~n3:25 in
         let q = Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper chain_sql in
-        match Unnest.Classify.classify q with
-        | Unnest.Classify.Chain_query chain ->
+        match fst (Unnest.Classify.plan q) with
+        | Unnest.Classify.Chain chain ->
             let reference = Unnest.Planner.run ~strategy:Unnest.Planner.Naive q in
             List.iter
               (fun (start, steps) ->
@@ -290,8 +290,8 @@ let chain_tests =
         let env = Test_util.fresh_env () in
         let catalog = chain_catalog env ~n1:5 ~n2:5 ~n3:5 in
         let q = Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper chain_sql in
-        match Unnest.Classify.classify q with
-        | Unnest.Classify.Chain_query chain ->
+        match fst (Unnest.Classify.plan q) with
+        | Unnest.Classify.Chain chain ->
             Alcotest.(check bool) "raises" true
               (try
                  ignore
@@ -346,11 +346,11 @@ let chain_tests =
         let catalog = chain_catalog env ~n1:5 ~n2:5 ~n3:5 in
         let plan sql (start, steps) =
           match
-            Unnest.Classify.classify
+            Unnest.Classify.plan
               (Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper
                  sql)
           with
-          | Unnest.Classify.Chain_query chain ->
+          | Unnest.Classify.Chain chain, _ ->
               Unnest.Merge_exec.cascade_plan chain
                 { Unnest.Chain_order.start; steps; estimated_cost = nan }
           | _ -> Alcotest.fail "expected a chain"
@@ -384,8 +384,8 @@ let chain_tests =
            intermediate; the DP should not start by joining R with S. *)
         let catalog = chain_catalog env ~n1:200 ~n2:200 ~n3:5 in
         let q = Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper chain_sql in
-        match Unnest.Classify.classify q with
-        | Unnest.Classify.Chain_query chain ->
+        match fst (Unnest.Classify.plan q) with
+        | Unnest.Classify.Chain chain ->
             let order = Unnest.Chain_order.plan chain in
             Alcotest.(check bool) "cost is finite" true
               (Float.is_finite order.Unnest.Chain_order.estimated_cost);
@@ -564,40 +564,43 @@ let flatten_tests =
             "SELECT F.NAME, M.NAME FROM F, M WHERE F.AGE = M.AGE AND F.INCOME \
              IN (SELECT G.INCOME FROM M G WHERE G.AGE = M.AGE)"
         in
-        Alcotest.(check string) "general before" "general nested"
-          (Unnest.Classify.to_string (Unnest.Classify.classify q));
-        match Unnest.Flatten.flatten_outer q with
-        | None -> Alcotest.fail "flatten should apply"
-        | Some q' ->
+        (match Unnest.Classify.plan q with
+        | Unnest.Classify.Flattened f, [ d ] ->
+            Alcotest.(check string) "N/J declined on the product" "N/J"
+              d.Unnest.Classify.rule;
             Alcotest.(check string) "type J after" "type J"
-              (Unnest.Classify.to_string (Unnest.Classify.classify q'));
-            Alcotest.(check int) "single FROM" 1 (List.length q'.Fuzzysql.Bound.from);
-            (* equivalence against naive evaluation of the original *)
-            Test_util.check_same_answer "flattened = naive"
-              (Unnest.Planner.run q)
-              (Unnest.Planner.run ~strategy:Unnest.Planner.Naive q));
+              (Unnest.Classify.to_string f.Unnest.Classify.inner);
+            Alcotest.(check int) "one local predicate folded" 1
+              (List.length f.Unnest.Classify.locals)
+        | p, _ -> Alcotest.failf "planned as %s" (Unnest.Classify.to_string p));
+        (* equivalence against naive evaluation of the original *)
+        Test_util.check_same_answer "flattened = naive"
+          (Unnest.Planner.run q)
+          (Unnest.Planner.run ~strategy:Unnest.Planner.Naive q));
     tc "flatten declines when it cannot apply" `Quick (fun () ->
         let env = Test_util.fresh_env () in
         let catalog = Test_util.paper_db env in
-        let bind sql = Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper sql in
-        Alcotest.(check bool) "single FROM" true
-          (Unnest.Flatten.flatten_outer
-             (bind "SELECT F.NAME FROM F WHERE F.INCOME IN (SELECT M.INCOME FROM M)")
-          = None);
-        Alcotest.(check bool) "two subqueries" true
-          (Unnest.Flatten.flatten_outer
-             (bind
-                "SELECT F.NAME FROM F, M WHERE F.AGE IN (SELECT M.AGE FROM M) \
-                 AND F.INCOME IN (SELECT M.INCOME FROM M)")
-          = None));
+        let rule sql =
+          Unnest.Classify.rule_of
+            (fst
+               (Unnest.Classify.plan
+                  (Fuzzysql.Analyzer.bind_string ~catalog
+                     ~terms:Fuzzy.Term.paper sql)))
+        in
+        Alcotest.(check string) "single FROM" "N/J"
+          (rule "SELECT F.NAME FROM F WHERE F.INCOME IN (SELECT M.INCOME FROM M)");
+        Alcotest.(check string) "two subqueries" "naive"
+          (rule
+             "SELECT F.NAME FROM F, M WHERE F.AGE IN (SELECT M.AGE FROM M) \
+              AND F.INCOME IN (SELECT M.INCOME FROM M)"));
     tc "rewrite_sql prints the paper's flat forms" `Quick (fun () ->
         let env = Test_util.fresh_env () in
         let shape sql =
           match
-            Unnest.Classify.classify (Test_util.bind_paper_query env sql)
+            Unnest.Classify.plan (Test_util.bind_paper_query env sql)
           with
-          | Unnest.Classify.Two_level t -> Unnest.Rewrite_sql.two_level t
-          | s -> Alcotest.failf "not two-level: %s" (Unnest.Classify.to_string s)
+          | Unnest.Classify.Merge m, _ -> Unnest.Rewrite_sql.merge m
+          | p, _ -> Alcotest.failf "no merge step: %s" (Unnest.Classify.to_string p)
         in
         let j =
           shape "SELECT F.NAME FROM F WHERE F.INCOME IN (SELECT M.INCOME FROM M WHERE M.AGE = F.AGE)"

@@ -331,54 +331,62 @@ let planner_cancel_tests =
            domains)
         `Quick
         (fun () ->
-          let env = Env.create ~pool_pages:16 () in
-          let catalog = Relational.Catalog.create env in
-          Server.Demo.load_nested ~seed:11 ~n_r:400 ~n_s:400 env catalog;
-          Env.flush env;
-          let q =
-            Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper
-              "SELECT R.ID FROM R WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V \
-               <= R.U)"
-          in
-          let run ?cancel () =
-            Unnest.Planner.run ~domains ~mem_pages:4 ?cancel q
-          in
-          let expected =
-            let a = run () in
-            let bits = Test_util.answer_bits a in
-            Relational.Relation.destroy a;
-            bits
-          in
-          let baseline = Disk.live_pages env.Env.disk in
-          let cancelled = ref 0 in
-          let attempt cancel =
-            (match run ~cancel () with
-            | answer ->
-                if Test_util.answer_bits answer <> expected then
-                  Alcotest.fail "answer changed under a live token";
-                Relational.Relation.destroy answer
-            | exception Cancel.Cancelled _ -> incr cancelled);
-            Alcotest.(check int)
-              "live pages back to baseline" baseline
-              (Disk.live_pages env.Env.disk)
-          in
-          let pre = Cancel.create () in
-          Cancel.cancel ~reason:"test" pre;
-          attempt pre;
           List.iter
-            (fun k ->
-              let token = ref None and polls = ref 0 in
-              let on_poll () =
-                incr polls;
-                if !polls = k then
-                  Option.iter (Cancel.cancel ~reason:"mid-query") !token
+            (fun sql ->
+              let env = Env.create ~pool_pages:16 () in
+              let catalog = Relational.Catalog.create env in
+              Server.Demo.load_nested ~seed:11 ~n_r:400 ~n_s:400 env catalog;
+              Env.flush env;
+              let q =
+                Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper sql
               in
-              let cancel = Cancel.create ~on_poll () in
-              token := Some cancel;
-              attempt cancel)
-            [ 1; 2; 4; 8; 16; 32; 64 ];
-          Alcotest.(check bool)
-            "some runs were cancelled" true (!cancelled >= 2)))
+              let run ?cancel () =
+                Unnest.Planner.run ~domains ~mem_pages:4 ?cancel q
+              in
+              let expected =
+                let a = run () in
+                let bits = Test_util.answer_bits a in
+                Relational.Relation.destroy a;
+                bits
+              in
+              let baseline = Disk.live_pages env.Env.disk in
+              let cancelled = ref 0 in
+              let attempt cancel =
+                (match run ~cancel () with
+                | answer ->
+                    if Test_util.answer_bits answer <> expected then
+                      Alcotest.fail "answer changed under a live token";
+                    Relational.Relation.destroy answer
+                | exception Cancel.Cancelled _ -> incr cancelled);
+                Alcotest.(check int)
+                  "live pages back to baseline" baseline
+                  (Disk.live_pages env.Env.disk)
+              in
+              let pre = Cancel.create () in
+              Cancel.cancel ~reason:"test" pre;
+              attempt pre;
+              List.iter
+                (fun k ->
+                  let token = ref None and polls = ref 0 in
+                  let on_poll () =
+                    incr polls;
+                    if !polls = k then
+                      Option.iter (Cancel.cancel ~reason:"mid-query") !token
+                  in
+                  let cancel = Cancel.create ~on_poll () in
+                  token := Some cancel;
+                  attempt cancel)
+                [ 1; 2; 4; 8; 16; 32; 64 ];
+              Alcotest.(check bool)
+                "some runs were cancelled" true (!cancelled >= 2))
+            [
+              "SELECT R.ID FROM R WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V \
+               <= R.U)";
+              (* a multi-relation outer block: the flattened FROM product is
+                 materialised while the token is polled *)
+              "SELECT R.ID, T.ID FROM R, T WHERE R.U <= T.W AND R.Y IN \
+               (SELECT S.Z FROM S WHERE S.V = T.P)";
+            ]))
     [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)

@@ -1,6 +1,6 @@
 (** Tests of the Fuzzy SQL front-end: lexer, parser, pretty-printer
-    round-trips, analyzer binding and errors, and query-shape
-    classification of the paper's example queries. *)
+    round-trips, analyzer binding and errors, and the plan chosen for the
+    paper's example queries. *)
 
 open Frepro
 open Fuzzysql
@@ -163,70 +163,187 @@ let analyzer_tests =
         Alcotest.(check int) "bound" 1 (List.length q.Bound.from));
   ]
 
-(* ---------- classification ---------- *)
+(* ---------- planning ---------- *)
 
-let classify env sql = Unnest.Classify.classify (bind env sql)
+(* One row per query: its shape, the rule that fired, and every decline
+   met on the way (below a flatten too). *)
+let plan_rows =
+  [
+    ("SELECT F.NAME, F.AGE FROM F WHERE F.AGE = 'medium young'", "flat",
+     "flat", []);
+    ( "SELECT F.NAME FROM F WHERE F.AGE = 'medium young' AND F.INCOME IN \
+       (SELECT M.INCOME FROM M WHERE M.AGE = 'middle age')",
+      "type N", "N/J", [] );
+    ( "SELECT F.NAME FROM F WHERE F.INCOME IN (SELECT M.INCOME FROM M \
+       WHERE M.AGE = F.AGE)",
+      "type J", "N/J", [] );
+    (* Query 4 of the paper *)
+    ( "SELECT F.NAME FROM F WHERE F.INCOME NOT IN (SELECT M.INCOME FROM M \
+       WHERE M.AGE = F.AGE)",
+      "type JX", "JX", [] );
+    (* Query 5 of the paper *)
+    ( "SELECT F.NAME FROM F WHERE F.INCOME > (SELECT MAX(M.INCOME) FROM M \
+       WHERE M.AGE = F.AGE)",
+      "type JA", "JA/COUNT", [] );
+    ( "SELECT F.NAME FROM F WHERE F.INCOME < ALL (SELECT M.INCOME FROM M \
+       WHERE M.AGE = F.AGE)",
+      "type JALL", "JALL/JSOME", [] );
+    ( "SELECT F.NAME FROM F WHERE F.INCOME > SOME (SELECT M.INCOME FROM M \
+       WHERE M.AGE = F.AGE)",
+      "type JSOME", "JALL/JSOME", [] );
+    (* Query 6 of the paper: a 3-block chain. *)
+    ( "SELECT F.ID FROM F WHERE F.AGE = 'medium young' AND F.INCOME IN \
+       (SELECT M.INCOME FROM M WHERE M.AGE = F.AGE AND M.ID IN (SELECT G.ID \
+       FROM F G WHERE G.AGE = M.AGE AND G.INCOME = F.INCOME))",
+      "chain of 3 blocks", "chain",
+      [ "N/J declined: the subquery is itself nested" ] );
+    (* Two subqueries: not unnestable by the paper's rewrites. *)
+    ( "SELECT F.NAME FROM F WHERE F.INCOME IN (SELECT M.INCOME FROM M) AND \
+       F.AGE IN (SELECT M.AGE FROM M)",
+      "general nested", "naive",
+      [ "N/J declined: two subquery predicates in one WHERE" ] );
+    (* EXISTS / NOT EXISTS: fuzzy semi / anti joins. *)
+    ( "SELECT F.NAME FROM F WHERE EXISTS (SELECT M.ID FROM M WHERE M.AGE = \
+       F.AGE)",
+      "type JEXISTS", "EXISTS", [] );
+    ( "SELECT F.NAME FROM F WHERE NOT EXISTS (SELECT M.ID FROM M WHERE \
+       M.AGE = F.AGE)",
+      "type JNOTEXISTS", "EXISTS", [] );
+    (* ... but EXISTS over a two-relation inner block stays general. *)
+    ( "SELECT F.NAME FROM F WHERE EXISTS (SELECT M.ID FROM M, F G WHERE \
+       M.AGE = F.AGE)",
+      "general nested", "naive",
+      [ "EXISTS declined: the subquery reads several relations" ] );
+    (* A multi-relation outer block is re-planned over its FROM product. *)
+    ( "SELECT F.NAME, M.NAME FROM F, M WHERE F.AGE = M.AGE AND F.INCOME IN \
+       (SELECT G.INCOME FROM M G WHERE G.AGE = M.AGE)",
+      "type J over the flattened outer FROM (F, M)", "flatten-outer",
+      [ "N/J declined: the outer block reads several relations" ] );
+    (* Order-only correlation: no equality to sweep on. *)
+    ( "SELECT F.NAME FROM F WHERE F.INCOME < ALL (SELECT M.INCOME FROM M \
+       WHERE M.AGE <= F.AGE)",
+      "type JALL", "nested-loop",
+      [
+        "JALL/JSOME declined: quantified subquery without an equality \
+         correlation predicate";
+      ] );
+    ( "SELECT F.NAME FROM F WHERE F.INCOME > (SELECT MAX(M.INCOME) FROM M \
+       WHERE M.AGE <= F.AGE)",
+      "type JA", "nested-loop",
+      [
+        "JA/COUNT declined: aggregate subquery without an equality \
+         correlation predicate";
+      ] );
+    ( "SELECT F.NAME FROM F WHERE EXISTS (SELECT M.ID FROM M WHERE M.AGE <= \
+       F.AGE)",
+      "type JEXISTS", "nested-loop",
+      [
+        "EXISTS declined: EXISTS subquery without an equality correlation \
+         predicate";
+      ] );
+    (* An uncorrelated inner block: no unnesting is needed (Section 6). *)
+    ( "SELECT F.NAME FROM F WHERE F.INCOME >= ALL (SELECT M.INCOME FROM M \
+       WHERE M.AGE = 'middle age')",
+      "type JALL", "constant-inner", [] );
+  ]
 
-let shape_tests =
+(* The rule whose executor runs: below a flatten, the re-planned one. *)
+let rec executed = function
+  | Unnest.Classify.Flattened f -> executed f.Unnest.Classify.inner
+  | p -> Unnest.Classify.rule_of p
+
+let method_prefix = function
+  | "flat" -> "method: direct evaluation"
+  | "constant-inner" -> "method: constant inner block"
+  | "chain" -> "method: unnest to a K-way flat join"
+  | "flatten-outer" -> "method: materialise the outer FROM product"
+  | "nested-loop" -> "method: blocked nested loop"
+  | "naive" -> "method: naive interpreter"
+  | _ -> "method: unnest + extended merge-join"
+
+(* A span every Auto run of the executed rule records. *)
+let signature_span = function
+  | "flat" | "naive" -> "naive-bindings"
+  | "constant-inner" -> "constant-inner"
+  | "nested-loop" -> "nested-loop"
+  | _ -> "sweep"
+
+let starts_with ~prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+let plan_tests =
   [
     tc "paper query shapes classify as in the taxonomy" `Quick (fun () ->
+        List.iter
+          (fun (sql, shape, rule, declines) ->
+            let env = Test_util.fresh_env () in
+            let q = bind env sql in
+            let plan, top = Unnest.Classify.plan q in
+            Alcotest.(check string) (sql ^ ": shape") shape
+              (Unnest.Classify.to_string plan);
+            Alcotest.(check string) (sql ^ ": rule") rule
+              (Unnest.Classify.rule_of plan);
+            let below =
+              match plan with
+              | Unnest.Classify.Flattened f -> f.Unnest.Classify.inner_declines
+              | _ -> []
+            in
+            Alcotest.(check (list string)) (sql ^ ": declines") declines
+              (List.map Unnest.Classify.decline_to_string (top @ below));
+            let method_line =
+              List.find
+                (starts_with ~prefix:"method: ")
+                (String.split_on_char '\n' (Unnest.Explain.explain q))
+            in
+            Alcotest.(check bool)
+              (sql ^ ": EXPLAIN says " ^ method_line)
+              true
+              (starts_with ~prefix:(method_prefix rule) method_line);
+            let runs = executed plan in
+            let fsql033 =
+              List.exists
+                (fun d -> d.Diagnostic.code = "FSQL033")
+                (snd
+                   (Check.check_string
+                      ~classify:Unnest.Classify.unnest_warning
+                      (Check.ctx ~catalog:(Test_util.paper_db env)
+                         ~terms:Fuzzy.Term.paper)
+                      sql))
+            in
+            Alcotest.(check bool) (sql ^ ": FSQL033") 
+              (runs = "nested-loop" || runs = "naive")
+              fsql033;
+            let trace = Storage.Trace.create () in
+            Relational.Relation.destroy (Unnest.Planner.run ~trace q);
+            let spans = ref [] in
+            Storage.Trace.iter_spans trace (fun sp ->
+                spans := Storage.Trace.span_name sp :: !spans);
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: Auto records %s among [%s]" sql
+                 (signature_span runs) (String.concat "; " !spans))
+              true
+              (List.mem (signature_span runs) !spans);
+            if runs = "nested-loop" then
+              Alcotest.(check bool) (sql ^ ": no discarded reductions") false
+                (List.exists (starts_with ~prefix:"reduce") !spans))
+          plan_rows);
+    tc "planning is pure: no page access, no fuzzy op, no page" `Quick
+      (fun () ->
         let env = Test_util.fresh_env () in
-        let check sql expected =
-          Alcotest.(check string) sql expected
-            (Unnest.Classify.to_string (classify env sql))
+        let stats = env.Storage.Env.stats in
+        let qs = List.map (fun (sql, _, _, _) -> bind env sql) plan_rows in
+        Storage.Env.flush env;
+        let counters () =
+          let hits, misses = Storage.Buffer_pool.counters env.Storage.Env.pool in
+          ( Storage.Iostats.
+              [ page_reads stats; page_writes stats; fuzzy_ops stats;
+                comparisons stats; hits; misses ],
+            Storage.Disk.live_pages env.Storage.Env.disk )
         in
-        check "SELECT F.NAME, F.AGE FROM F WHERE F.AGE = 'medium young'" "flat";
-        check
-          "SELECT F.NAME FROM F WHERE F.AGE = 'medium young' AND F.INCOME IN \
-           (SELECT M.INCOME FROM M WHERE M.AGE = 'middle age')"
-          "type N";
-        check
-          "SELECT F.NAME FROM F WHERE F.INCOME IN (SELECT M.INCOME FROM M \
-           WHERE M.AGE = F.AGE)"
-          "type J";
-        (* Query 4 of the paper *)
-        check
-          "SELECT F.NAME FROM F WHERE F.INCOME NOT IN (SELECT M.INCOME FROM M \
-           WHERE M.AGE = F.AGE)"
-          "type JX";
-        (* Query 5 of the paper *)
-        check
-          "SELECT F.NAME FROM F WHERE F.INCOME > (SELECT MAX(M.INCOME) FROM M \
-           WHERE M.AGE = F.AGE)"
-          "type JA";
-        check
-          "SELECT F.NAME FROM F WHERE F.INCOME < ALL (SELECT M.INCOME FROM M \
-           WHERE M.AGE = F.AGE)"
-          "type JALL";
-        check
-          "SELECT F.NAME FROM F WHERE F.INCOME > SOME (SELECT M.INCOME FROM M \
-           WHERE M.AGE = F.AGE)"
-          "type JSOME";
-        (* Query 6 of the paper: a 3-block chain. *)
-        check
-          "SELECT F.ID FROM F WHERE F.AGE = 'medium young' AND F.INCOME IN \
-           (SELECT M.INCOME FROM M WHERE M.AGE = F.AGE AND M.ID IN (SELECT \
-           G.ID FROM F G WHERE G.AGE = M.AGE AND G.INCOME = F.INCOME))"
-          "chain of 3 blocks";
-        (* Two subqueries: not unnestable by the paper's rewrites. *)
-        check
-          "SELECT F.NAME FROM F WHERE F.INCOME IN (SELECT M.INCOME FROM M) \
-           AND F.AGE IN (SELECT M.AGE FROM M)"
-          "general nested";
-        (* EXISTS / NOT EXISTS: fuzzy semi / anti joins. *)
-        check
-          "SELECT F.NAME FROM F WHERE EXISTS (SELECT M.ID FROM M WHERE M.AGE \
-           = F.AGE)"
-          "type JEXISTS";
-        check
-          "SELECT F.NAME FROM F WHERE NOT EXISTS (SELECT M.ID FROM M WHERE \
-           M.AGE = F.AGE)"
-          "type JNOTEXISTS";
-        (* ... but EXISTS over a two-relation inner block stays general. *)
-        check
-          "SELECT F.NAME FROM F WHERE EXISTS (SELECT M.ID FROM M, F G WHERE \
-           M.AGE = F.AGE)"
-          "general nested");
+        let before = counters () in
+        List.iter (fun q -> ignore (Unnest.Classify.plan q)) qs;
+        Alcotest.(check (pair (list int) int)) "unchanged" before (counters ()));
   ]
 
 let suites =
@@ -234,5 +351,5 @@ let suites =
     ("sql.parser", parser_tests);
     ("sql.roundtrip", roundtrip_tests);
     ("sql.analyzer", analyzer_tests);
-    ("sql.classify", shape_tests);
+    ("sql.classify", plan_tests);
   ]
